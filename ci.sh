@@ -46,13 +46,13 @@ go test -race -timeout 300s -run 'Fault|Resilience' ./internal/core ./internal/n
 go test -race -timeout 300s ./internal/runstats
 go test -race -timeout 300s -run 'Runstats' ./internal/core
 
-# Supervision race lane (DESIGN.md §13): the watchdog sweeper, shutdown
-# signal path, and journal writer all cross goroutines by construction
-# (the supervisor goroutine cancelling a worker's kernels, the signal
-# handler racing in-flight experiments), so every cancellation, stall,
-# deadline, retry, journal and checkpoint test runs under -race, in the
-# substrate and at the CLI.
-go test -race -timeout 300s -run 'Cancel|Stall|Watchdog|Deadline|Shutdown|Retry|Journal|Checkpoint|Fork|Supervision' \
+# Supervision race lane (DESIGN.md §13): the watchdog sweeper, context
+# cancellation, and journal writer all cross goroutines by construction
+# (a batch's sweeper cancelling a worker's kernels, a cancelled context
+# racing in-flight experiments, two run configurations in one process),
+# so every cancellation, stall, deadline, retry, journal, checkpoint and
+# run-context test runs under -race, in the substrate and at the CLI.
+go test -race -timeout 300s -run 'Cancel|Stall|Watchdog|Deadline|Shutdown|Retry|Journal|Checkpoint|Fork|Supervision|RunContext|SeedsRefuses' \
     ./internal/sim ./internal/core ./cmd/cyberlab
 
 # Partition race lane (DESIGN.md §14): the epoch-barrier worker pool,

@@ -109,6 +109,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -124,33 +125,37 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/detect"
+	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/provenance"
 	"repro/internal/runstats"
 	"repro/internal/sim"
+	"repro/internal/users"
 )
 
 func main() {
-	// Graceful shutdown (DESIGN.md §13): the first SIGINT/SIGTERM asks
-	// every in-flight experiment to stop at its next step boundary and
-	// lets the run flush its journal, report and telemetry before
-	// exiting with the partial-run banner; a second signal exits hard.
+	// Graceful shutdown (DESIGN.md §13): the first SIGINT/SIGTERM cancels
+	// the run's context, which stops every in-flight experiment at its
+	// next step boundary and lets the run flush its journal, report and
+	// telemetry before exiting with the partial-run banner; a second
+	// signal exits hard.
+	ctx, cancel := context.WithCancelCause(context.Background())
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		s := <-sig
 		fmt.Fprintf(os.Stderr, "\ncyberlab: %v: finishing current step and flushing outputs (send again to exit immediately)\n", s)
-		core.RequestShutdown(fmt.Errorf("signal %v", s))
+		cancel(fmt.Errorf("signal %v", s))
 		<-sig
 		os.Exit(130)
 	}()
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(ctx, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "cyberlab:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) (err error) {
+func run(ctx context.Context, args []string) (err error) {
 	if len(args) > 0 && args[0] == "trace" {
 		return runTrace(args[1:])
 	}
@@ -158,13 +163,13 @@ func run(args []string) (err error) {
 		return runDetect(args[1:])
 	}
 	if len(args) > 0 && args[0] == "profile" {
-		return runProfile(args[1:])
+		return runProfile(ctx, args[1:])
 	}
 	if len(args) > 0 && args[0] == "checkpoint" {
-		return runCheckpoint(args[1:])
+		return runCheckpoint(ctx, args[1:])
 	}
 	if len(args) > 0 && args[0] == "fork" {
-		return runFork(args[1:])
+		return runFork(ctx, args[1:])
 	}
 	fs := flag.NewFlagSet("cyberlab", flag.ContinueOnError)
 	var (
@@ -176,12 +181,9 @@ func run(args []string) (err error) {
 		seed       = fs.Uint64("seed", 1, "deterministic simulation seed")
 		seeds      = fs.String("seeds", "", "seed sweep: A..B (inclusive) or comma list; aggregates min/mean/max per metric")
 		parallel   = fs.Int("parallel", 1, "worker goroutines for -all, -run lists and -seeds")
-		partitions = fs.Int("partitions", 1, "worker goroutines advancing a partitioned world's site shards (0 = all cores); output bytes are identical at any width")
 		out        = fs.String("o", "", "also write the report to this file")
 		traceOut   = fs.String("trace", "", "write retained trace events to this file as JSONL")
 		metricsOut = fs.String("metrics", "", "write the merged metrics snapshot to this file as JSON")
-		faultsProf = fs.String("faults", "", "adversity profile for the R-series experiments (none, light, takedown, chaos)")
-		activity   = fs.String("activity", "", "benign user-activity mix for scenario fleets (none, office, developer, kiosk, enterprise)")
 		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProf    = fs.String("memprofile", "", "write a heap profile to this file when the run finishes")
 		progress   = fs.Bool("progress", false, "print a live wall-clock telemetry ticker to stderr")
@@ -191,16 +193,16 @@ func run(args []string) (err error) {
 		deadline   = fs.Duration("deadline", 0, "abort any experiment exceeding this wall-clock budget (0 = off)")
 		maxRetries = fs.Int("max-retries", 0, "re-run a failed experiment up to N times; a retry must reproduce identical bytes or the run is flagged nondeterministic")
 	)
+	config := configFlags(fs, configHelp{
+		faults:     "adversity profile for the R-series experiments (none, light, takedown, chaos)",
+		activity:   "benign user-activity mix for scenario fleets (none, office, developer, kiosk, enterprise)",
+		partitions: "worker goroutines advancing a partitioned world's site shards (0 = all cores); output bytes are identical at any width",
+	})
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := core.SetFaultProfile(*faultsProf); err != nil {
-		return err
-	}
-	if err := core.SetActivityMix(*activity); err != nil {
-		return err
-	}
-	if err := core.SetPartitionWorkers(*partitions); err != nil {
+	opts, err := config()
+	if err != nil {
 		return err
 	}
 	if *parallel < 1 {
@@ -215,13 +217,13 @@ func run(args []string) (err error) {
 	if *journalP != "" && *seeds != "" {
 		return fmt.Errorf("-journal records single-seed runs; it cannot capture a -seeds sweep")
 	}
+	if *maxRetries > 0 && *seeds != "" {
+		return fmt.Errorf("-max-retries flags determinism violations per report; a -seeds sweep's aggregate table has nowhere to show one")
+	}
 	if *stall < 0 || *deadline < 0 {
 		return fmt.Errorf("-stall and -deadline must be >= 0")
 	}
-	if *stall > 0 || *deadline > 0 {
-		core.EnableSupervision(core.SuperviseConfig{Stall: *stall, Deadline: *deadline})
-		defer core.DisableSupervision()
-	}
+	opts.Workers, opts.MaxRetries, opts.Stall, opts.Deadline = *parallel, *maxRetries, *stall, *deadline
 	// Fail on unwritable output destinations before experiments burn wall
 	// clock, not minutes later at write time.
 	for _, o := range []struct{ flag, path string }{
@@ -232,30 +234,26 @@ func run(args []string) (err error) {
 			return err
 		}
 	}
-	var journal *core.Journal
 	if *journalP != "" {
 		if !*genReport && *id == "" && !*all {
 			return fmt.Errorf("-journal needs a run (-run, -all, or -report)")
 		}
 		j, jerr := core.OpenJournal(*journalP, *resume, core.JournalConfig{
-			Seed:     *seed,
-			Faults:   core.FaultProfile().Name,
-			Activity: core.ActivityMixName(),
+			Seed: *seed, Faults: opts.Faults, Activity: string(opts.Activity),
 		})
 		if jerr != nil {
 			return fmt.Errorf("-journal: %w", jerr)
 		}
-		journal = j
+		opts.Journal = j
 		// A journal write error (disk full, yanked volume) must fail the
 		// run even if every experiment passed: a silently incomplete
 		// journal would skip re-runs on the next -resume.
 		defer func() {
-			if cerr := journal.Close(); cerr != nil && err == nil {
+			if cerr := j.Close(); cerr != nil && err == nil {
 				err = fmt.Errorf("-journal: %w", cerr)
 			}
 		}()
 	}
-	opts := core.RunOptions{Workers: *parallel, MaxRetries: *maxRetries, Journal: journal}
 	if *progress {
 		c := runstats.Enable()
 		stopTicker := c.StartProgress(os.Stderr, runstats.DefaultProgressPeriod)
@@ -336,7 +334,7 @@ func run(args []string) (err error) {
 			return err
 		}
 		started := time.Now()
-		entries := core.SweepSeeds(ids, seedList, *parallel)
+		entries := core.SweepSeeds(ctx, ids, seedList, opts)
 		emit("%s", core.RenderSweep(entries))
 		passes, runs, errored := 0, 0, 0
 		var merged obs.Snapshot
@@ -360,7 +358,7 @@ func run(args []string) (err error) {
 		return nil
 	case *genReport:
 		started := time.Now()
-		reports := core.RunExperimentsOpts(core.ExperimentIDs(), *seed, opts)
+		reports := core.RunExperimentsOpts(ctx, core.ExperimentIDs(), *seed, opts)
 		stopReport := runstats.Phase("report")
 		md := core.RenderExperimentsMarkdown(reports, *seed)
 		stopReport()
@@ -373,7 +371,7 @@ func run(args []string) (err error) {
 		if err := writeObsOutputs(*traceOut, *metricsOut, reports); err != nil {
 			return err
 		}
-		partialBanner(reports, *journalP)
+		partialBanner(reports, *journalP, context.Cause(ctx))
 		return reportErr(reports)
 	case *id != "" || *all:
 		ids := core.ExperimentIDs()
@@ -384,7 +382,7 @@ func run(args []string) (err error) {
 			}
 		}
 		started := time.Now()
-		reports := core.RunExperimentsOpts(ids, *seed, opts)
+		reports := core.RunExperimentsOpts(ctx, ids, *seed, opts)
 		for _, rep := range reports {
 			if rep.Err != nil {
 				emit("%v\n\n", rep.Err)
@@ -403,7 +401,7 @@ func run(args []string) (err error) {
 		if err := writeObsOutputs(*traceOut, *metricsOut, reports); err != nil {
 			return err
 		}
-		partialBanner(reports, *journalP)
+		partialBanner(reports, *journalP, context.Cause(ctx))
 		return reportErr(reports)
 	default:
 		fs.Usage()
@@ -430,20 +428,18 @@ func ruleKind(r detect.Rule) string {
 // frees stdout. The manifest is nondeterministic by design and is
 // never drift-gated — the deterministic artefacts of the same run are
 // unchanged by profiling (the isolation property tests pin this).
-func runProfile(args []string) error {
+func runProfile(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("cyberlab profile", flag.ContinueOnError)
 	var (
-		id         = fs.String("run", "", "profile these experiments, comma-separated (e.g. C7 or R1..R5)")
-		all        = fs.Bool("all", false, "profile every experiment")
-		seed       = fs.Uint64("seed", 1, "deterministic simulation seed")
-		parallel   = fs.Int("parallel", 1, "worker goroutines")
-		partitions = fs.Int("partitions", 1, "worker goroutines advancing a partitioned world's site shards (0 = all cores)")
-		out        = fs.String("o", "", "write the JSON run manifest to this file (default stdout)")
-		faultsProf = fs.String("faults", "", "adversity profile for the R-series experiments")
-		activity   = fs.String("activity", "", "benign user-activity mix for scenario fleets")
-		progress   = fs.Bool("progress", false, "also print the live telemetry ticker to stderr")
-		every      = fs.Duration("every", runstats.DefaultProgressPeriod, "progress ticker period")
+		id       = fs.String("run", "", "profile these experiments, comma-separated (e.g. C7 or R1..R5)")
+		all      = fs.Bool("all", false, "profile every experiment")
+		seed     = fs.Uint64("seed", 1, "deterministic simulation seed")
+		parallel = fs.Int("parallel", 1, "worker goroutines")
+		out      = fs.String("o", "", "write the JSON run manifest to this file (default stdout)")
+		progress = fs.Bool("progress", false, "also print the live telemetry ticker to stderr")
+		every    = fs.Duration("every", runstats.DefaultProgressPeriod, "progress ticker period")
 	)
+	config := configFlags(fs, subcommandHelp)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -453,15 +449,11 @@ func runProfile(args []string) error {
 	if *parallel < 1 {
 		return fmt.Errorf("profile: -parallel must be >= 1 (got %d)", *parallel)
 	}
-	if err := core.SetFaultProfile(*faultsProf); err != nil {
+	opts, err := config()
+	if err != nil {
 		return err
 	}
-	if err := core.SetActivityMix(*activity); err != nil {
-		return err
-	}
-	if err := core.SetPartitionWorkers(*partitions); err != nil {
-		return err
-	}
+	opts.Workers = *parallel
 	if err := validateOutPath("-o", *out); err != nil {
 		return err
 	}
@@ -479,7 +471,7 @@ func runProfile(args []string) error {
 	if *progress {
 		stopTicker = c.StartProgress(os.Stderr, *every)
 	}
-	reports := core.RunExperiments(ids, *seed, *parallel)
+	reports := core.RunExperimentsOpts(ctx, ids, *seed, opts)
 	if stopTicker != nil {
 		stopTicker()
 	}
@@ -564,17 +556,15 @@ func runDetect(args []string) error {
 // completion and freeze a replay checkpoint — the configuration tuple, a
 // virtual-time boundary, and a content hash of the trace prefix up to it
 // (DESIGN.md §13). The checkpoint JSON goes to stdout or -o.
-func runCheckpoint(args []string) error {
+func runCheckpoint(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("cyberlab checkpoint", flag.ContinueOnError)
 	var (
-		id         = fs.String("run", "", "experiment ID to checkpoint (required)")
-		seed       = fs.Uint64("seed", 1, "deterministic simulation seed")
-		at         = fs.Duration("at", 0, "checkpoint boundary as virtual time past the simulation epoch (required, e.g. 30m)")
-		faultsProf = fs.String("faults", "", "adversity profile for the R-series experiments")
-		activity   = fs.String("activity", "", "benign user-activity mix for scenario fleets")
-		partitions = fs.Int("partitions", 1, "worker goroutines advancing a partitioned world's site shards (0 = all cores)")
-		out        = fs.String("o", "", "write the checkpoint JSON to this file (default stdout)")
+		id   = fs.String("run", "", "experiment ID to checkpoint (required)")
+		seed = fs.Uint64("seed", 1, "deterministic simulation seed")
+		at   = fs.Duration("at", 0, "checkpoint boundary as virtual time past the simulation epoch (required, e.g. 30m)")
+		out  = fs.String("o", "", "write the checkpoint JSON to this file (default stdout)")
 	)
+	config := configFlags(fs, subcommandHelp)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -587,19 +577,14 @@ func runCheckpoint(args []string) error {
 	if *at <= 0 {
 		return fmt.Errorf("checkpoint: -at DURATION (virtual time past the epoch) is required")
 	}
-	if err := core.SetFaultProfile(*faultsProf); err != nil {
-		return err
-	}
-	if err := core.SetActivityMix(*activity); err != nil {
-		return err
-	}
-	if err := core.SetPartitionWorkers(*partitions); err != nil {
+	opts, err := config()
+	if err != nil {
 		return err
 	}
 	if err := validateOutPath("-o", *out); err != nil {
 		return err
 	}
-	cp, err := core.CaptureCheckpoint(*id, *seed, sim.Epoch.Add(*at))
+	cp, err := core.CaptureCheckpoint(ctx, *id, *seed, sim.Epoch.Add(*at), opts)
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
@@ -624,20 +609,23 @@ func runCheckpoint(args []string) error {
 // runFork implements `cyberlab fork`: restore a checkpoint by
 // deterministic re-execution under the captured configuration, verify
 // the replayed prefix hash, and render only the tail past the boundary.
-func runFork(args []string) error {
+func runFork(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("cyberlab fork", flag.ContinueOnError)
 	var (
-		from       = fs.String("from", "", "checkpoint file to restore (required)")
-		traceOut   = fs.String("trace", "", "write the tail trace events (past the checkpoint) to this file as JSONL")
-		partitions = fs.Int("partitions", 1, "worker goroutines advancing a partitioned world's site shards (0 = all cores); the replay verifies against the checkpoint at any width")
+		from     = fs.String("from", "", "checkpoint file to restore (required)")
+		traceOut = fs.String("trace", "", "write the tail trace events (past the checkpoint) to this file as JSONL")
 	)
+	config := configFlags(fs, configHelp{
+		partitions: "worker goroutines advancing a partitioned world's site shards (0 = all cores); the replay verifies against the checkpoint at any width",
+	})
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *from == "" {
 		return fmt.Errorf("fork: -from FILE is required")
 	}
-	if err := core.SetPartitionWorkers(*partitions); err != nil {
+	opts, err := config()
+	if err != nil {
 		return err
 	}
 	if err := validateOutPath("-trace", *traceOut); err != nil {
@@ -647,10 +635,7 @@ func runFork(args []string) error {
 	if err != nil {
 		return fmt.Errorf("fork: %w", err)
 	}
-	if err := cp.ApplyConfig(); err != nil {
-		return fmt.Errorf("fork: %w", err)
-	}
-	fr, err := core.Fork(cp)
+	fr, err := core.Fork(ctx, cp, opts.Partitions)
 	if err != nil {
 		return fmt.Errorf("fork: %w", err)
 	}
@@ -667,6 +652,48 @@ func runFork(args []string) error {
 	fmt.Fprintf(os.Stderr, "fork %s seed %d: prefix of %d events verified at %s, %d tail events restored\n",
 		cp.Experiment, cp.Seed, cp.PrefixLen, cp.VTime.Format(time.RFC3339), fr.TailEvents)
 	return nil
+}
+
+// configHelp is one mode's help text for the run-configuration flags. A
+// mode with no faults text registers neither -faults nor -activity: fork
+// replays the checkpoint's fault profile and activity mix.
+type configHelp struct{ faults, activity, partitions string }
+
+// subcommandHelp is the help text profile and checkpoint share.
+var subcommandHelp = configHelp{
+	faults:     "adversity profile for the R-series experiments",
+	activity:   "benign user-activity mix for scenario fleets",
+	partitions: "worker goroutines advancing a partitioned world's site shards (0 = all cores)",
+}
+
+// configFlags registers the run-configuration flags on fs and returns a
+// func that validates their parsed values into the RunOptions fields they
+// set. -partitions 0 resolves to all cores.
+func configFlags(fs *flag.FlagSet, help configHelp) func() (core.RunOptions, error) {
+	var faultsName, activity string
+	if help.faults != "" {
+		fs.StringVar(&faultsName, "faults", "", help.faults)
+		fs.StringVar(&activity, "activity", "", help.activity)
+	}
+	partitions := fs.Int("partitions", 1, help.partitions)
+	return func() (core.RunOptions, error) {
+		opt := core.RunOptions{Faults: faultsName, Activity: users.Mix(activity), Partitions: *partitions}
+		if _, err := faults.Lookup(faultsName); err != nil {
+			return opt, err
+		}
+		if activity != "" {
+			if _, err := users.ParseMix(activity); err != nil {
+				return opt, err
+			}
+		}
+		if *partitions < 0 {
+			return opt, fmt.Errorf("invalid -partitions %d (want >= 1, or 0 for all cores)", *partitions)
+		}
+		if *partitions == 0 {
+			opt.Partitions = runtime.GOMAXPROCS(0)
+		}
+		return opt, nil
+	}
 }
 
 // parseIDs splits a comma-separated -run value and validates every ID.
@@ -777,7 +804,7 @@ func reportErr(reports []core.RunReport) error {
 // cut short (shutdown signal, watchdog or deadline aborts). It never
 // touches stdout: the report artefact stays deterministic, partial runs
 // included.
-func partialBanner(reports []core.RunReport, journalPath string) {
+func partialBanner(reports []core.RunReport, journalPath string, shutdown error) {
 	done, served, aborted, skipped := 0, 0, 0, 0
 	for _, rep := range reports {
 		switch {
@@ -792,12 +819,12 @@ func partialBanner(reports []core.RunReport, journalPath string) {
 			}
 		}
 	}
-	if aborted == 0 && skipped == 0 && core.ShutdownCause() == nil {
+	if aborted == 0 && skipped == 0 && shutdown == nil {
 		return
 	}
 	cause := "experiment aborts"
-	if c := core.ShutdownCause(); c != nil {
-		cause = c.Error()
+	if shutdown != nil {
+		cause = shutdown.Error()
 	}
 	fmt.Fprintf(os.Stderr, "RUN PARTIAL (%s): %d done (%d from journal), %d aborted, %d skipped\n",
 		cause, done, served, aborted, skipped)

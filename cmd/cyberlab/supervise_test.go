@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,34 +13,34 @@ import (
 // re-executing it.
 func TestRunJournalResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.journal")
-	if err := run([]string{"-run", "F3", "-journal", path}); err != nil {
+	if err := run(context.Background(), []string{"-run", "F3", "-journal", path}); err != nil {
 		t.Fatalf("journaled run: %v", err)
 	}
-	if err := run([]string{"-run", "F3,C8", "-journal", path, "-resume"}); err != nil {
+	if err := run(context.Background(), []string{"-run", "F3,C8", "-journal", path, "-resume"}); err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
 	// Without -resume, reusing the journal must be refused.
-	if err := run([]string{"-run", "F3", "-journal", path}); err == nil ||
+	if err := run(context.Background(), []string{"-run", "F3", "-journal", path}); err == nil ||
 		!strings.Contains(err.Error(), "-resume") {
 		t.Fatalf("journal reuse without -resume = %v, want a refusal", err)
 	}
 }
 
 func TestRunJournalFlagValidation(t *testing.T) {
-	if err := run([]string{"-run", "F3", "-resume"}); err == nil ||
+	if err := run(context.Background(), []string{"-run", "F3", "-resume"}); err == nil ||
 		!strings.Contains(err.Error(), "-journal") {
 		t.Fatal("-resume without -journal accepted")
 	}
-	if err := run([]string{"-run", "F3", "-seeds", "1..2", "-journal", "x.journal"}); err == nil {
+	if err := run(context.Background(), []string{"-run", "F3", "-seeds", "1..2", "-journal", "x.journal"}); err == nil {
 		t.Fatal("-journal with -seeds accepted")
 	}
-	if err := run([]string{"-list", "-journal", "x.journal"}); err == nil {
+	if err := run(context.Background(), []string{"-list", "-journal", "x.journal"}); err == nil {
 		t.Fatal("-journal without a run accepted")
 	}
-	if err := run([]string{"-run", "F3", "-max-retries", "-1"}); err == nil {
+	if err := run(context.Background(), []string{"-run", "F3", "-max-retries", "-1"}); err == nil {
 		t.Fatal("negative -max-retries accepted")
 	}
-	if err := run([]string{"-run", "F3", "-stall", "-1s"}); err == nil {
+	if err := run(context.Background(), []string{"-run", "F3", "-stall", "-1s"}); err == nil {
 		t.Fatal("negative -stall accepted")
 	}
 }
@@ -50,7 +51,7 @@ func TestRunJournalFlagValidation(t *testing.T) {
 func TestRunFailureSummaryNamesIDs(t *testing.T) {
 	// X1 is the hidden spin self-test; unsupervised it refuses to start,
 	// a deterministic error the summary must surface by ID.
-	err := run([]string{"-run", "X1,F3"})
+	err := run(context.Background(), []string{"-run", "X1,F3"})
 	if err == nil {
 		t.Fatal("run with a failing experiment exited zero")
 	}
@@ -63,7 +64,7 @@ func TestRunFailureSummaryNamesIDs(t *testing.T) {
 
 	// Under an armed watchdog X1 spins until reaped; the summary must
 	// report it as aborted, and the healthy sibling still passes.
-	err = run([]string{"-run", "X1,F3", "-stall", "100ms"})
+	err = run(context.Background(), []string{"-run", "X1,F3", "-stall", "100ms"})
 	if err == nil || !strings.Contains(err.Error(), "X1 (aborted)") {
 		t.Fatalf("supervised failure summary = %v, want X1 (aborted)", err)
 	}
@@ -74,14 +75,14 @@ func TestRunFailureSummaryNamesIDs(t *testing.T) {
 func TestCheckpointForkCLI(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "c1.checkpoint")
-	if err := run([]string{"checkpoint", "-run", "C1", "-at", "12h", "-o", path}); err != nil {
+	if err := run(context.Background(), []string{"checkpoint", "-run", "C1", "-at", "12h", "-o", path}); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
 		t.Fatalf("checkpoint file missing or empty: %v", err)
 	}
 	tail := filepath.Join(dir, "tail.jsonl")
-	if err := run([]string{"fork", "-from", path, "-trace", tail}); err != nil {
+	if err := run(context.Background(), []string{"fork", "-from", path, "-trace", tail}); err != nil {
 		t.Fatalf("fork: %v", err)
 	}
 	if _, err := os.Stat(tail); err != nil {
@@ -90,19 +91,52 @@ func TestCheckpointForkCLI(t *testing.T) {
 }
 
 func TestCheckpointFlagValidation(t *testing.T) {
-	if err := run([]string{"checkpoint", "-run", "C1"}); err == nil {
+	if err := run(context.Background(), []string{"checkpoint", "-run", "C1"}); err == nil {
 		t.Fatal("checkpoint without -at accepted")
 	}
-	if err := run([]string{"checkpoint", "-at", "1h"}); err == nil {
+	if err := run(context.Background(), []string{"checkpoint", "-at", "1h"}); err == nil {
 		t.Fatal("checkpoint without -run accepted")
 	}
-	if err := run([]string{"checkpoint", "-run", "ZZ", "-at", "1h"}); err == nil {
+	if err := run(context.Background(), []string{"checkpoint", "-run", "ZZ", "-at", "1h"}); err == nil {
 		t.Fatal("checkpoint of unknown experiment accepted")
 	}
-	if err := run([]string{"fork"}); err == nil {
+	if err := run(context.Background(), []string{"fork"}); err == nil {
 		t.Fatal("fork without -from accepted")
 	}
-	if err := run([]string{"fork", "-from", filepath.Join(t.TempDir(), "missing")}); err == nil {
+	if err := run(context.Background(), []string{"fork", "-from", filepath.Join(t.TempDir(), "missing")}); err == nil {
 		t.Fatal("fork from a missing file accepted")
+	}
+}
+
+// TestSeedsRefusesMaxRetries: a sweep's aggregate table has nowhere to
+// report a determinism violation, so -max-retries with -seeds is refused
+// up front like -journal, instead of being silently ignored.
+func TestSeedsRefusesMaxRetries(t *testing.T) {
+	err := run(context.Background(), []string{"-run", "F3", "-seeds", "1..2", "-max-retries", "1"})
+	if err == nil || !strings.Contains(err.Error(), "-max-retries") || !strings.Contains(err.Error(), "-seeds") {
+		t.Fatalf("-max-retries with -seeds = %v, want a refusal naming both flags", err)
+	}
+	if err := run(context.Background(), []string{"-run", "F3", "-seeds", "1..2"}); err != nil {
+		t.Fatalf("plain sweep: %v", err)
+	}
+}
+
+// TestSilentActivityJournalResumes: -activity none and the default mix
+// produce byte-identical reports, so a journal recorded under one resumes
+// under the other.
+func TestSilentActivityJournalResumes(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.journal")
+	none, def := filepath.Join(dir, "none.txt"), filepath.Join(dir, "default.txt")
+	if err := run(context.Background(), []string{"-run", "F3", "-activity", "none", "-journal", path, "-o", none}); err != nil {
+		t.Fatalf("journaled -activity none run: %v", err)
+	}
+	if err := run(context.Background(), []string{"-run", "F3", "-journal", path, "-resume", "-o", def}); err != nil {
+		t.Fatalf("default-mix resume of an -activity none journal: %v", err)
+	}
+	a, _ := os.ReadFile(none)
+	b, _ := os.ReadFile(def)
+	if len(a) == 0 || string(a) != string(b) {
+		t.Fatal("resumed report differs from the -activity none run")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -9,7 +10,9 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/obs"
+	"repro/internal/users"
 )
 
 // Replay checkpoints (DESIGN.md §13). A deterministic simulation never
@@ -57,11 +60,15 @@ func tracePrefixHash(events []obs.Event, boundary time.Time) (int, string) {
 	return n, hex.EncodeToString(h.Sum(nil))
 }
 
-// CaptureCheckpoint runs the experiment to completion and freezes the
-// trace prefix up to vtime into a Checkpoint bound to the process's
-// current fault profile and activity mix.
-func CaptureCheckpoint(id string, seed uint64, vtime time.Time) (*Checkpoint, error) {
-	rep := runOne(id, seed)
+// CaptureCheckpoint runs the experiment to completion under opt and
+// freezes the trace prefix up to vtime into a Checkpoint bound to opt's
+// fault profile and activity mix.
+func CaptureCheckpoint(ctx context.Context, id string, seed uint64, vtime time.Time, opt RunOptions) (*Checkpoint, error) {
+	prof, err := faults.Lookup(opt.Faults)
+	if err != nil {
+		return nil, err
+	}
+	rep := RunExperimentsOpts(ctx, []string{id}, seed, opt)[0]
 	if rep.Err != nil {
 		return nil, rep.Err
 	}
@@ -69,8 +76,8 @@ func CaptureCheckpoint(id string, seed uint64, vtime time.Time) (*Checkpoint, er
 		Version:    checkpointVersion,
 		Experiment: id,
 		Seed:       seed,
-		Faults:     FaultProfile().Name,
-		Activity:   ActivityMixName(),
+		Faults:     prof.Name,
+		Activity:   canonicalMix(string(opt.Activity)),
 		VTime:      vtime.UTC(),
 		TotalLen:   len(rep.Result.Events),
 		Summary:    rep.Result.Summary,
@@ -91,22 +98,19 @@ type ForkResult struct {
 	TailEvents int
 }
 
-// Fork restores a checkpoint by deterministic re-execution. The process
-// configuration must already match the checkpoint (use ApplyConfig),
-// and the replayed trace prefix must hash to the checkpoint's value; a
+// Fork restores a checkpoint by deterministic re-execution under the
+// checkpoint's own fault profile and activity mix, advancing partitioned
+// worlds with the given worker width (any width replays the same bytes).
+// The replayed trace prefix must hash to the checkpoint's value; a
 // mismatch means the code or configuration drifted since capture — or
 // the run is nondeterministic — and the fork is refused.
-func Fork(cp *Checkpoint) (*ForkResult, error) {
+func Fork(ctx context.Context, cp *Checkpoint, partitions int) (*ForkResult, error) {
 	if cp.Version != checkpointVersion {
 		return nil, fmt.Errorf("checkpoint format v%d, this build speaks v%d", cp.Version, checkpointVersion)
 	}
-	if got := FaultProfile().Name; got != cp.Faults {
-		return nil, fmt.Errorf("checkpoint was captured under fault profile %q but the process runs %q", cp.Faults, got)
-	}
-	if got := ActivityMixName(); got != cp.Activity {
-		return nil, fmt.Errorf("checkpoint was captured under activity mix %q but the process runs %q", cp.Activity, got)
-	}
-	rep := runOne(cp.Experiment, cp.Seed)
+	rep := RunExperimentsOpts(ctx, []string{cp.Experiment}, cp.Seed, RunOptions{
+		Faults: cp.Faults, Activity: users.Mix(cp.Activity), Partitions: partitions,
+	})[0]
 	if rep.Err != nil {
 		return nil, fmt.Errorf("fork replay: %w", rep.Err)
 	}
@@ -123,18 +127,6 @@ func Fork(cp *Checkpoint) (*ForkResult, error) {
 	}
 	rep.Result.Events = tail
 	return &ForkResult{Checkpoint: cp, Result: rep.Result, TailEvents: len(tail)}, nil
-}
-
-// ApplyConfig installs the checkpoint's fault profile and activity mix
-// into the process, so Fork replays under the captured configuration.
-func (cp *Checkpoint) ApplyConfig() error {
-	if err := SetFaultProfile(cp.Faults); err != nil {
-		return fmt.Errorf("checkpoint fault profile: %w", err)
-	}
-	if err := SetActivityMix(cp.Activity); err != nil {
-		return fmt.Errorf("checkpoint activity mix: %w", err)
-	}
-	return nil
 }
 
 // WriteCheckpoint renders cp as indented JSON plus a trailing newline.

@@ -2,18 +2,21 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/users"
 )
 
 // checkpointBoundary picks a vtime strictly inside an experiment's
 // event stream, so the checkpoint has both a prefix and a tail.
-func checkpointBoundary(t *testing.T, id string) time.Time {
+func checkpointBoundary(t *testing.T, id string, opt RunOptions) time.Time {
 	t.Helper()
-	rep := runOne(id, 1)
+	rep := runOne(id, 1, opt)
 	if rep.Err != nil {
 		t.Fatal(rep.Err)
 	}
@@ -28,15 +31,15 @@ func checkpointBoundary(t *testing.T, id string) time.Time {
 // it, and get back exactly the tail past the boundary — the verified
 // prefix is muted out of the restored result.
 func TestCheckpointForkRoundTrip(t *testing.T) {
-	at := checkpointBoundary(t, "C1")
-	cp, err := CaptureCheckpoint("C1", 1, at)
+	at := checkpointBoundary(t, "C1", RunOptions{})
+	cp, err := CaptureCheckpoint(context.Background(), "C1", 1, at, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cp.PrefixLen == 0 || cp.PrefixLen >= cp.TotalLen {
 		t.Fatalf("degenerate checkpoint: prefix %d of %d events", cp.PrefixLen, cp.TotalLen)
 	}
-	fr, err := Fork(cp)
+	fr, err := Fork(context.Background(), cp, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,44 +57,70 @@ func TestCheckpointForkRoundTrip(t *testing.T) {
 // longer matches the replay means the code or configuration changed —
 // the fork must refuse, not silently diverge.
 func TestForkRefusesHashDrift(t *testing.T) {
-	cp, err := CaptureCheckpoint("C1", 1, checkpointBoundary(t, "C1"))
+	cp, err := CaptureCheckpoint(context.Background(), "C1", 1, checkpointBoundary(t, "C1", RunOptions{}), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cp.PrefixHash = strings.Repeat("0", len(cp.PrefixHash))
-	if _, err := Fork(cp); err == nil || !strings.Contains(err.Error(), "drift") {
+	if _, err := Fork(context.Background(), cp, 1); err == nil || !strings.Contains(err.Error(), "drift") {
 		t.Fatalf("hash-drifted fork = %v, want a drift refusal", err)
 	}
 }
 
-// TestForkRefusesConfigMismatch: forking under a different fault
-// profile than the capture is refused up front.
+// TestForkRefusesConfigMismatch: Fork replays the checkpoint's own fault
+// profile — a chaos capture forks cleanly with no process-wide setting —
+// and a tuple edited to another profile, or to an unknown one, is
+// refused rather than silently replayed.
 func TestForkRefusesConfigMismatch(t *testing.T) {
-	cp, err := CaptureCheckpoint("C1", 1, checkpointBoundary(t, "C1"))
+	chaos := RunOptions{Faults: "chaos"}
+	cp, err := CaptureCheckpoint(context.Background(), "R2", 1, checkpointBoundary(t, "R2", chaos), chaos)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SetFaultProfile("chaos"); err != nil {
+	if cp.Faults != "chaos" {
+		t.Fatalf("checkpoint recorded fault profile %q, want chaos", cp.Faults)
+	}
+	if _, err := Fork(context.Background(), cp, 1); err != nil {
+		t.Fatalf("fork of a chaos checkpoint: %v", err)
+	}
+	edited := *cp
+	edited.Faults = "takedown"
+	if _, err := Fork(context.Background(), &edited, 1); err == nil || !strings.Contains(err.Error(), "drift") {
+		t.Fatalf("profile-edited fork = %v, want a drift refusal", err)
+	}
+	edited.Faults = "bogus"
+	if _, err := Fork(context.Background(), &edited, 1); err == nil || !strings.Contains(err.Error(), "unknown profile") {
+		t.Fatalf("unknown-profile fork = %v, want a refusal", err)
+	}
+}
+
+// TestCheckpointSilentMixCanonical: "none" and the default mix are the
+// same silent fleet, so a capture under either records the same tuple,
+// and a checkpoint file that still says "none" forks cleanly.
+func TestCheckpointSilentMixCanonical(t *testing.T) {
+	at := checkpointBoundary(t, "R3", RunOptions{})
+	def, err := CaptureCheckpoint(context.Background(), "R3", 1, at, RunOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer SetFaultProfile("")
-	if _, err := Fork(cp); err == nil || !strings.Contains(err.Error(), "fault profile") {
-		t.Fatalf("profile-mismatched fork = %v, want a refusal", err)
-	}
-	// ApplyConfig restores the captured configuration, after which the
-	// fork verifies again.
-	if err := cp.ApplyConfig(); err != nil {
+	none, err := CaptureCheckpoint(context.Background(), "R3", 1, at, RunOptions{Activity: users.MixNone})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Fork(cp); err != nil {
-		t.Fatalf("fork after ApplyConfig: %v", err)
+	if *none != *def {
+		t.Fatalf("-activity none checkpoint differs from the default:\n got %+v\nwant %+v", none, def)
+	}
+	legacy := *def
+	legacy.Activity = string(users.MixNone)
+	if _, err := Fork(context.Background(), &legacy, 1); err != nil {
+		t.Fatalf("fork of a checkpoint recorded as activity=none: %v", err)
 	}
 }
 
 // TestCheckpointFileRoundTrip: checkpoints survive the write/read cycle
 // byte-for-byte in their verified fields.
 func TestCheckpointFileRoundTrip(t *testing.T) {
-	cp, err := CaptureCheckpoint("C1", 1, checkpointBoundary(t, "C1"))
+	cp, err := CaptureCheckpoint(context.Background(), "C1", 1, checkpointBoundary(t, "C1", RunOptions{}), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,14 @@ func TestExperimentRegistryComplete(t *testing.T) {
 
 func runExperiment(t *testing.T, id string) *Result {
 	t.Helper()
-	res, err := Experiments[id](1)
+	return runExperimentWith(t, id, RunOptions{})
+}
+
+// runExperimentWith runs one registry experiment at seed 1 under opt and
+// requires it to reproduce.
+func runExperimentWith(t *testing.T, id string, opt RunOptions) *Result {
+	t.Helper()
+	res, err := Experiments[id](&Run{ID: id, Seed: 1, opt: opt})
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -157,7 +164,7 @@ func TestE2GaussGodel(t *testing.T) {
 // metrics.
 func TestExperimentDeterminism(t *testing.T) {
 	run := func() []Metric {
-		res, err := RunF1StuxnetOperation(7)
+		res, err := RunF1StuxnetOperation(&Run{Seed: 7})
 		if err != nil {
 			t.Fatalf("F1: %v", err)
 		}

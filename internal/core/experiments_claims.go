@@ -19,8 +19,8 @@ import (
 // RunC1ZeroDays verifies the "four zero-day exploits" claim: MS10-046
 // (LNK), MS10-061 (spooler), MS10-073 and MS10-092 (EoP) all fire in a
 // single campaign, and each is individually blocked by its patch.
-func RunC1ZeroDays(seed uint64) (*Result, error) {
-	w, err := NewWorld(WorldConfig{Seed: seed})
+func RunC1ZeroDays(run *Run) (*Result, error) {
+	w, err := NewWorld(WorldConfig{Run: run, Seed: run.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -83,8 +83,8 @@ func RunC1ZeroDays(seed uint64) (*Result, error) {
 // 807–1210 Hz trigger band, the 1410 -> 2 -> 1064 Hz profile destroying
 // machines, and the replayed normal readings blinding operator and safety
 // system while the attack runs.
-func RunC2Centrifuge(seed uint64) (*Result, error) {
-	w, err := NewWorld(WorldConfig{Seed: seed})
+func RunC2Centrifuge(run *Run) (*Result, error) {
+	w, err := NewWorld(WorldConfig{Run: run, Seed: run.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +143,7 @@ func RunC2Centrifuge(seed uint64) (*Result, error) {
 
 // RunC3Targeting verifies the selectivity claim: the payload fires only
 // against a Profibus CP with the Finnish/Iranian drive pair.
-func RunC3Targeting(seed uint64) (*Result, error) {
+func RunC3Targeting(run *Run) (*Result, error) {
 	type variant struct {
 		name    string
 		vendors []string
@@ -162,7 +162,7 @@ func RunC3Targeting(seed uint64) (*Result, error) {
 	pass := true
 	matchDestroyed := 0
 	for i, v := range variants {
-		w, err := NewWorld(WorldConfig{Seed: seed + uint64(i)})
+		w, err := NewWorld(WorldConfig{Run: run, Seed: run.Seed + uint64(i)})
 		if err != nil {
 			return nil, err
 		}
@@ -201,8 +201,8 @@ func RunC3Targeting(seed uint64) (*Result, error) {
 
 // RunC4FlameSize verifies the size claims: ~900 KB bare-bones installer
 // growing to ~20 MB fully deployed via C&C module downloads.
-func RunC4FlameSize(seed uint64) (*Result, error) {
-	w, err := NewWorld(WorldConfig{Seed: seed})
+func RunC4FlameSize(run *Run) (*Result, error) {
+	w, err := NewWorld(WorldConfig{Run: run, Seed: run.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -242,8 +242,8 @@ func RunC4FlameSize(seed uint64) (*Result, error) {
 // RunC5ExfilVolume measures one week of exfiltration volume landing on
 // the C&C servers — the paper reports 5.5 GB on one server in a week; our
 // synthetic corpus reproduces the *continuous multi-megabyte* shape.
-func RunC5ExfilVolume(seed uint64) (*Result, error) {
-	w, err := NewWorld(WorldConfig{Seed: seed, MuteTrace: true})
+func RunC5ExfilVolume(run *Run) (*Result, error) {
+	w, err := NewWorld(WorldConfig{Run: run, Seed: run.Seed, MuteTrace: true})
 	if err != nil {
 		return nil, err
 	}
@@ -309,8 +309,8 @@ func RunC5ExfilVolume(seed uint64) (*Result, error) {
 
 // RunC6Suicide verifies the SUICIDE claim: after the broadcast command,
 // forensics finds zero artefacts on previously infected machines.
-func RunC6Suicide(seed uint64) (*Result, error) {
-	w, err := NewWorld(WorldConfig{Seed: seed})
+func RunC6Suicide(run *Run) (*Result, error) {
+	w, err := NewWorld(WorldConfig{Run: run, Seed: run.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -365,8 +365,8 @@ func RunC6Suicide(seed uint64) (*Result, error) {
 // shares after a cross-site carry, then every machine wipes at the
 // hardcoded trigger, stops booting, and reports home to the hub through
 // the epoch mailboxes.
-func RunC7AramcoScale(seed uint64) (*Result, error) {
-	return RunAramcoPartitionedN(seed, 30000, aramcoSiteCount, 0, 0, false)
+func RunC7AramcoScale(run *Run) (*Result, error) {
+	return runAramcoPartitionedMix(run, run.Seed, 30000, aramcoSiteCount, run.partitions(), 0, false, users.MixNone, true)
 }
 
 // runAramcoScale is the single-kernel C7 slice the reduced benches and
@@ -379,8 +379,8 @@ func runAramcoScale(seed uint64, fleet int) (*Result, error) {
 // count, and seeding mode exposed. Reports are byte-identical across any
 // workers value and across eager/lazy seeding — the property the
 // determinism tests and the bench lane pin. The fleet is explicitly
-// silent (users.MixNone) so the frozen BENCH_C7.json baseline is immune
-// to the -activity global; RunAramcoBusyN is the populated twin.
+// silent (users.MixNone) so the frozen BENCH_C7.json baseline never
+// depends on an activity mix; RunAramcoBusyN is the populated twin.
 func RunAramcoScaleN(seed uint64, fleet, workers int, eagerDocs bool) (*Result, error) {
 	return runAramcoScaleMix(seed, fleet, workers, eagerDocs, users.MixNone)
 }
@@ -442,10 +442,10 @@ func runAramcoScaleMix(seed uint64, fleet, workers int, eagerDocs bool, mix user
 // RunC8JPEGBug verifies the coding-mistake claim: wiped files contain only
 // the small upper fragment of the JPEG, against the intended full
 // overwrite (the ablation).
-func RunC8JPEGBug(seed uint64) (*Result, error) {
+func RunC8JPEGBug(run *Run) (*Result, error) {
 	var kernels []*sim.Kernel
-	run := func(bug bool) (fragBytes float64, fullOverwrite bool, err error) {
-		w, err := NewWorld(WorldConfig{Seed: seed, Start: shamoon.AramcoTrigger.Add(-2 * time.Hour)})
+	trial := func(bug bool) (fragBytes float64, fullOverwrite bool, err error) {
+		w, err := NewWorld(WorldConfig{Run: run, Seed: run.Seed, Start: shamoon.AramcoTrigger.Add(-2 * time.Hour)})
 		if err != nil {
 			return 0, false, err
 		}
@@ -470,11 +470,11 @@ func RunC8JPEGBug(seed uint64) (*Result, error) {
 		}
 		return -1, true, nil
 	}
-	buggyFrag, buggyFull, err := run(true)
+	buggyFrag, buggyFull, err := trial(true)
 	if err != nil {
 		return nil, err
 	}
-	fixedFrag, fixedFull, err := run(false)
+	fixedFrag, fixedFull, err := trial(false)
 	if err != nil {
 		return nil, err
 	}
@@ -497,8 +497,8 @@ func RunC8JPEGBug(seed uint64) (*Result, error) {
 
 // RunC9Reporter verifies the reporter telemetry claim: an HTTP GET
 // carrying the domain name, overwrite count, IP address, and f1.inf.
-func RunC9Reporter(seed uint64) (*Result, error) {
-	w, err := NewWorld(WorldConfig{Seed: seed, Start: shamoon.AramcoTrigger.Add(-4 * time.Hour)})
+func RunC9Reporter(run *Run) (*Result, error) {
+	w, err := NewWorld(WorldConfig{Run: run, Seed: run.Seed, Start: shamoon.AramcoTrigger.Add(-4 * time.Hour)})
 	if err != nil {
 		return nil, err
 	}
@@ -535,8 +535,8 @@ func RunC9Reporter(seed uint64) (*Result, error) {
 // RunC10AirGap verifies the hidden-USB-database claim: documents from a
 // disconnected zone reach the C&C once the stick revisits a connected
 // infected host.
-func RunC10AirGap(seed uint64) (*Result, error) {
-	w, err := NewWorld(WorldConfig{Seed: seed})
+func RunC10AirGap(run *Run) (*Result, error) {
+	w, err := NewWorld(WorldConfig{Run: run, Seed: run.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -590,8 +590,8 @@ func RunC10AirGap(seed uint64) (*Result, error) {
 
 // RunC11Bluetooth verifies the BEETLEJUICE claim: the infected machine
 // beacons as discoverable and exfiltrates the nearby device inventory.
-func RunC11Bluetooth(seed uint64) (*Result, error) {
-	w, err := NewWorld(WorldConfig{Seed: seed})
+func RunC11Bluetooth(run *Run) (*Result, error) {
+	w, err := NewWorld(WorldConfig{Run: run, Seed: run.Seed})
 	if err != nil {
 		return nil, err
 	}

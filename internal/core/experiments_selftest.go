@@ -18,11 +18,11 @@ func init() { Experiments["X1"] = RunX1Spin }
 // or deadline nothing would ever reap the loop. Under supervision it
 // never returns normally: the watchdog cancels the kernel and the run
 // unwinds into a partial report carrying the stall diagnostic.
-func RunX1Spin(seed uint64) (*Result, error) {
-	if !SupervisionArmed() {
+func RunX1Spin(run *Run) (*Result, error) {
+	if !run.supervised() {
 		return nil, errors.New("X1 spins forever at a frozen vtime by design; arm the supervisor (-stall or -deadline) so the watchdog can reap it")
 	}
-	w, err := NewWorld(WorldConfig{Seed: seed, MuteTrace: true})
+	w, err := NewWorld(WorldConfig{Run: run, Seed: run.Seed, MuteTrace: true})
 	if err != nil {
 		return nil, err
 	}

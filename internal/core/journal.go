@@ -12,7 +12,9 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/obs"
+	"repro/internal/users"
 )
 
 // The run journal (DESIGN.md §13) makes a long sweep crash-safe: an
@@ -42,6 +44,26 @@ type JournalConfig struct {
 	Seed     uint64 `json:"seed"`
 	Faults   string `json:"faults"`
 	Activity string `json:"activity"`
+}
+
+// canonical spells the tuple one way, both when a header is written and
+// when one is compared: the default fault profile by name, and a silent
+// fleet as "" whether it was asked for as "" or "none" — the two produce
+// byte-identical runs, so their journals must resume each other.
+func (c JournalConfig) canonical() JournalConfig {
+	if c.Faults == "" {
+		c.Faults = faults.DefaultProfile
+	}
+	c.Activity = canonicalMix(c.Activity)
+	return c
+}
+
+// canonicalMix names silence one way: "" and "none" both attach no users.
+func canonicalMix(name string) string {
+	if name == string(users.MixNone) {
+		return ""
+	}
+	return name
 }
 
 type journalHeader struct {
@@ -143,7 +165,7 @@ func journalKey(id string, seed uint64) string {
 // final line (the crash signature) is truncated away, and a header that
 // does not match cfg is an error.
 func OpenJournal(path string, resume bool, cfg JournalConfig) (*Journal, error) {
-	j := &Journal{path: path, cfg: cfg, replayed: make(map[string]RunReport)}
+	j := &Journal{path: path, cfg: cfg.canonical(), replayed: make(map[string]RunReport)}
 	data, err := os.ReadFile(path)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("journal %s: %w", path, err)
@@ -173,7 +195,7 @@ func OpenJournal(path string, resume bool, cfg JournalConfig) (*Journal, error) 
 	}
 	j.f = f
 	if keep == 0 {
-		hdr := journalHeader{Kind: "header", Version: journalVersion, JournalConfig: cfg}
+		hdr := journalHeader{Kind: "header", Version: journalVersion, JournalConfig: j.cfg}
 		line, err := json.Marshal(hdr)
 		if err != nil {
 			f.Close()
@@ -246,7 +268,7 @@ func (j *Journal) replayLine(line []byte, lineNo int) (fatal error, damaged bool
 		if h.Version != journalVersion {
 			return fmt.Errorf("journal format v%d, this build writes v%d", h.Version, journalVersion), false
 		}
-		if h.JournalConfig != j.cfg {
+		if h.JournalConfig.canonical() != j.cfg {
 			return fmt.Errorf("journal was recorded with seed=%d faults=%q activity=%q but this run uses seed=%d faults=%q activity=%q — a resume must replay the identical configuration",
 				h.Seed, h.Faults, h.Activity, j.cfg.Seed, j.cfg.Faults, j.cfg.Activity), false
 		}

@@ -2,14 +2,17 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/users"
 )
 
 func testJournalConfig(seed uint64) JournalConfig {
-	return JournalConfig{Seed: seed, Faults: FaultProfile().Name, Activity: ActivityMixName()}
+	return JournalConfig{Seed: seed}
 }
 
 // TestJournalCrashResumeByteIdentical is the S3 acceptance test: a
@@ -35,7 +38,7 @@ func TestJournalCrashResumeByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: open: %v", workers, err)
 		}
-		RunExperimentsOpts(ids[:1], 1, RunOptions{Workers: 1, Journal: j1})
+		RunExperimentsOpts(context.Background(), ids[:1], 1, RunOptions{Workers: 1, Journal: j1})
 		if err := j1.Close(); err != nil {
 			t.Fatalf("workers=%d: close: %v", workers, err)
 		}
@@ -60,7 +63,7 @@ func TestJournalCrashResumeByteIdentical(t *testing.T) {
 		if fileSize(t, path) >= tornSize {
 			t.Fatalf("workers=%d: torn tail not truncated from the file", workers)
 		}
-		resumed := RunExperimentsOpts(ids, 1, RunOptions{Workers: workers, Journal: j2})
+		resumed := RunExperimentsOpts(context.Background(), ids, 1, RunOptions{Workers: workers, Journal: j2})
 		if err := j2.Close(); err != nil {
 			t.Fatalf("workers=%d: close after resume: %v", workers, err)
 		}
@@ -82,7 +85,7 @@ func TestJournalCrashResumeByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: second resume: %v", workers, err)
 		}
-		replayed := RunExperimentsOpts(ids, 1, RunOptions{Workers: workers, Journal: j3})
+		replayed := RunExperimentsOpts(context.Background(), ids, 1, RunOptions{Workers: workers, Journal: j3})
 		if j3.Served() != len(ids) {
 			t.Fatalf("workers=%d: second resume served %d of %d", workers, j3.Served(), len(ids))
 		}
@@ -138,6 +141,51 @@ func TestJournalConfigMismatchRefused(t *testing.T) {
 	}
 }
 
+// TestJournalSilentMixResumes: "none" and the default mix are the same
+// silent fleet (byte-identical reports), so their journals resume each
+// other — including a journal whose header still spells it "none" — and
+// the default profile resumes whether it is named or left empty.
+func TestJournalSilentMixResumes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.journal")
+	j, err := OpenJournal(path, false, JournalConfig{Seed: 1, Activity: string(users.MixNone)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	RunExperimentsOpts(context.Background(), []string{"F3"}, 1, RunOptions{Workers: 1, Activity: users.MixNone, Journal: j})
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, rest, _ := bytes.Cut(data, []byte("\n"))
+	if !bytes.Contains(header, []byte(`"faults":"takedown","activity":""`)) {
+		t.Fatalf("header does not record the canonical tuple: %s", header)
+	}
+	// A journal written before the tuple was canonical says "none".
+	legacy := bytes.Replace(header, []byte(`"activity":""`), []byte(`"activity":"none"`), 1)
+	if err := os.WriteFile(path, append(append(legacy, '\n'), rest...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []JournalConfig{
+		{Seed: 1},
+		{Seed: 1, Faults: "takedown", Activity: string(users.MixNone)},
+	} {
+		j2, err := OpenJournal(path, true, cfg)
+		if err != nil {
+			t.Fatalf("resume %+v of a silent-mix journal: %v", cfg, err)
+		}
+		if _, ok := j2.Lookup("F3", 1); !ok {
+			t.Fatalf("resume %+v lost the journaled F3", cfg)
+		}
+		j2.Close()
+	}
+	if _, err := OpenJournal(path, true, JournalConfig{Seed: 1, Activity: string(users.MixOffice)}); err == nil {
+		t.Fatal("a populated mix resumed a silent journal")
+	}
+}
+
 // TestJournalCorruptionRefused: damage anywhere but the final line
 // cannot be crash fallout (records are fsync'd in order), so it must
 // refuse to resume rather than replay a half-trusted file.
@@ -148,7 +196,7 @@ func TestJournalCorruptionRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	RunExperimentsOpts([]string{"F3", "C8"}, 1, RunOptions{Workers: 1, Journal: j})
+	RunExperimentsOpts(context.Background(), []string{"F3", "C8"}, 1, RunOptions{Workers: 1, Journal: j})
 	j.Close()
 
 	data, err := os.ReadFile(path)
@@ -209,7 +257,7 @@ func TestJournalSkipsIncompleteOutcomes(t *testing.T) {
 // experiment is journaled with its error text and served on resume,
 // hash-verified like any success.
 func TestJournalReplaysDeterministicFailures(t *testing.T) {
-	registerTempExperiment(t, "ZZ-det-fail", func(seed uint64) (*Result, error) {
+	registerTempExperiment(t, "ZZ-det-fail", func(*Run) (*Result, error) {
 		return nil, os.ErrPermission
 	})
 	path := filepath.Join(t.TempDir(), "run.journal")
@@ -218,7 +266,7 @@ func TestJournalReplaysDeterministicFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := RunExperimentsOpts([]string{"ZZ-det-fail"}, 1, RunOptions{Workers: 1, Journal: j})
+	first := RunExperimentsOpts(context.Background(), []string{"ZZ-det-fail"}, 1, RunOptions{Workers: 1, Journal: j})
 	j.Close()
 	if first[0].Err == nil {
 		t.Fatal("expected a failure")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -13,15 +14,17 @@ import (
 	"repro/internal/obs"
 	"repro/internal/runstats"
 	"repro/internal/sim"
+	"repro/internal/users"
 )
 
 // The parallel experiment runner. Every experiment builds its own World —
 // its own kernel, RNG, internet, PKI and hosts — and never touches
 // another world's state, so experiments are embarrassingly parallel
 // across worker goroutines. The only shared data a worker reads is the
-// immutable Experiments registry and package-level constants. Reports
-// always come back in input order, so rendered output is byte-identical
-// no matter how many workers ran.
+// immutable Experiments registry and package-level constants; the run
+// configuration arrives in each experiment's own *Run. Reports always
+// come back in input order, so rendered output is byte-identical no
+// matter how many workers ran.
 
 // RunReport is the outcome of one experiment execution inside the
 // parallel runner.
@@ -36,8 +39,8 @@ type RunReport struct {
 	// layer (stall watchdog, deadline, or graceful shutdown); Err carries
 	// the cause and the kernel diagnostic.
 	Partial bool
-	// Skipped marks an experiment that never started because a shutdown
-	// was already pending when its worker picked it up.
+	// Skipped marks an experiment that never started because its batch's
+	// context was already cancelled when a worker picked it up.
 	Skipped bool
 	// FromJournal marks a report replayed from a resume journal instead
 	// of executed (Attempts is 0 for such reports).
@@ -83,17 +86,17 @@ func runPool(n, workers int, run func(i int)) {
 }
 
 // runOne executes a single experiment, converting panics into errors so
-// one broken experiment can never truncate a sweep report. The run is
-// wrapped in a supervision scope: the kernels its worlds build register
-// with the scope, a supervisor abort unwinds here as a *sim.Cancelled
-// and becomes a partial report, and a shutdown pending before the start
-// skips the experiment outright. When a wall-clock collector is active
-// it gets the experiment's wall time and pass/fail — telemetry that
-// stays on the nondeterministic plane (the deterministic Result never
-// carries wall data).
-func runOne(id string, seed uint64) (rep RunReport) {
+// one broken experiment can never truncate a sweep report. The
+// experiment gets its own Run: the kernels its worlds build register
+// with it, a supervisor abort or a cancelled context unwinds here as a
+// *sim.Cancelled and becomes a partial report, and a context cancelled
+// before the start skips the experiment outright. When a wall-clock
+// collector is active it gets the experiment's wall time and pass/fail —
+// telemetry that stays on the nondeterministic plane (the deterministic
+// Result never carries wall data).
+func (b *batch) runOne(id string, seed uint64) (rep RunReport) {
 	rep = RunReport{ID: id, Seed: seed}
-	if cause := ShutdownCause(); cause != nil {
+	if cause := context.Cause(b.ctx); cause != nil {
 		rep.Skipped = true
 		rep.Err = fmt.Errorf("experiment %s: skipped: %v", id, cause)
 		return rep
@@ -103,17 +106,16 @@ func runOne(id string, seed uint64) (rep RunReport) {
 		rep.Err = fmt.Errorf("experiment %s: unknown ID", id)
 		return rep
 	}
-	sc, endScope := beginScope(id, seed)
-	started := time.Now()
+	run := b.begin(id, seed)
 	defer func() {
-		endScope()
+		b.end(run)
 		if r := recover(); r != nil {
 			rep.Result = nil
-			rep.Wall = time.Since(started)
+			rep.Wall = time.Since(run.started)
 			if c, isCancel := sim.AsCancelled(r); isCancel {
 				rep.Partial = true
 				rep.Err = fmt.Errorf("experiment %s: aborted: %w", id, c)
-				if leak := poolLeaks(sc); leak != "" {
+				if leak := poolLeaks(run); leak != "" {
 					rep.Err = fmt.Errorf("%w; %s", rep.Err, leak)
 				}
 			} else {
@@ -126,8 +128,8 @@ func runOne(id string, seed uint64) (rep RunReport) {
 		}
 	}()
 	defer runstats.Phase("run")()
-	rep.Result, rep.Err = runner(seed)
-	rep.Wall = time.Since(started)
+	rep.Result, rep.Err = runner(run)
+	rep.Wall = time.Since(run.started)
 	if rep.Err != nil {
 		rep.Err = fmt.Errorf("experiment %s: %w", id, rep.Err)
 	} else {
@@ -141,10 +143,10 @@ func runOne(id string, seed uint64) (rep RunReport) {
 // sitting in a queue (the aborted kernel drained its own queue; sibling
 // kernels of a multi-world experiment may legitimately still hold
 // scheduled events). Returns "" when the ledgers balance.
-func poolLeaks(sc *expScope) string {
+func poolLeaks(run *Run) string {
 	var leaked uint64
 	var bad int
-	for _, k := range sc.kernelList() {
+	for _, k := range run.kernelList() {
 		ps := k.PoolStats()
 		gets := ps.Hits + ps.Misses
 		accounted := ps.Puts + uint64(k.Pending())
@@ -180,7 +182,10 @@ func outcomeFingerprint(rep RunReport) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// RunOptions extends RunExperiments with the supervision-layer knobs.
+// RunOptions is everything a caller can set about a batch of runs. The
+// zero value is the default configuration: the faults.DefaultProfile
+// adversity schedule, silent fleets, one partition worker, no
+// supervision, no retries, no journal.
 type RunOptions struct {
 	// Workers sizes the pool (<=1 is sequential).
 	Workers int
@@ -193,28 +198,50 @@ type RunOptions struct {
 	// outcomes without re-running them and records fresh completions
 	// (fsync'd per record) for the next resume.
 	Journal *Journal
+
+	// Faults names the adversity profile the R-series runs under
+	// ("" = faults.DefaultProfile).
+	Faults string
+	// Activity is the benign user-activity mix for fleets whose options
+	// leave Activity unset ("" or users.MixNone = silent).
+	Activity users.Mix
+	// Partitions is the worker width advancing partitioned worlds (<= 1
+	// is one worker). It never changes output bytes, so unlike Faults
+	// and Activity it is not part of the journal or checkpoint tuple.
+	Partitions int
+
+	// Stall is the vtime-stall watchdog window: an experiment kernel
+	// that keeps executing events while its virtual clock stays frozen
+	// for longer than this wall-clock window is aborted. 0 disarms.
+	Stall time.Duration
+	// Deadline is the per-experiment wall-clock budget, measured from
+	// the experiment's start; exceeding it aborts the experiment at its
+	// next step boundary. 0 disarms.
+	Deadline time.Duration
 }
+
+func (o RunOptions) armed() bool { return o.Stall > 0 || o.Deadline > 0 }
 
 // runSupervised wraps runOne with the journal short-circuit and the
 // bounded-retry determinism self-check.
-func runSupervised(id string, seed uint64, opt RunOptions) RunReport {
-	if opt.Journal != nil {
-		if rep, ok := opt.Journal.Lookup(id, seed); ok {
+func (b *batch) runSupervised(id string, seed uint64) RunReport {
+	if b.opt.Journal != nil {
+		if rep, ok := b.opt.Journal.Lookup(id, seed); ok {
 			if c := runstats.Active(); c != nil {
 				c.CountJournalServed()
 			}
 			return rep
 		}
 	}
-	rep := runOne(id, seed)
+	rep := b.runOne(id, seed)
 	rep.Attempts = 1
-	if rep.Err != nil && !rep.Partial && !rep.Skipped && opt.MaxRetries > 0 {
+	if rep.Err != nil && !rep.Partial && !rep.Skipped && b.opt.MaxRetries > 0 {
 		// Retry is a determinism self-check, not flake laundering: every
 		// attempt must reproduce the first attempt's bytes exactly.
 		first := outcomeFingerprint(rep)
 		for rep.Err != nil && !rep.Partial && !rep.Skipped &&
-			rep.Attempts <= opt.MaxRetries && ShutdownCause() == nil {
-			next := runOne(id, seed)
+			rep.Attempts <= b.opt.MaxRetries && b.ctx.Err() == nil {
+			next := b.runOne(id, seed)
 			next.Attempts = rep.Attempts + 1
 			next.Violation = rep.Violation
 			if c := runstats.Active(); c != nil {
@@ -229,10 +256,33 @@ func runSupervised(id string, seed uint64, opt RunOptions) RunReport {
 			rep = next
 		}
 	}
-	if opt.Journal != nil {
-		opt.Journal.Record(rep)
+	if b.opt.Journal != nil {
+		b.opt.Journal.Record(rep)
 	}
 	return rep
+}
+
+// runBatch executes every (experiment, seed) pair, experiment-major,
+// across one worker pool under opt; each report lands in its fixed slot.
+// Cancelling ctx skips pairs not yet started and aborts in-flight ones
+// with context.Cause(ctx); their reports come back Skipped or Partial.
+// dropEvents discards each result's trace as it lands (a sweep only
+// needs aggregates; retaining every seed's trace would hold one ring
+// buffer per pair in memory).
+func runBatch(ctx context.Context, ids []string, seeds []uint64, opt RunOptions, dropEvents bool) []RunReport {
+	reports := make([]RunReport, len(ids)*len(seeds))
+	if c := runstats.Active(); c != nil {
+		c.SetTotalExperiments(len(reports))
+	}
+	b := startBatch(ctx, opt)
+	defer b.stop()
+	runPool(len(reports), opt.Workers, func(i int) {
+		reports[i] = b.runSupervised(ids[i/len(seeds)], seeds[i%len(seeds)])
+		if res := reports[i].Result; res != nil && dropEvents {
+			res.Events = nil
+		}
+	})
+	return reports
 }
 
 // RunExperiments executes the given experiment IDs with one seed across a
@@ -240,19 +290,13 @@ func runSupervised(id string, seed uint64, opt RunOptions) RunReport {
 // count. Unknown IDs and experiment failures become per-report errors;
 // the remaining experiments still run.
 func RunExperiments(ids []string, seed uint64, workers int) []RunReport {
-	return RunExperimentsOpts(ids, seed, RunOptions{Workers: workers})
+	return RunExperimentsOpts(context.Background(), ids, seed, RunOptions{Workers: workers})
 }
 
-// RunExperimentsOpts is RunExperiments with the full option set.
-func RunExperimentsOpts(ids []string, seed uint64, opt RunOptions) []RunReport {
-	if c := runstats.Active(); c != nil {
-		c.SetTotalExperiments(len(ids))
-	}
-	reports := make([]RunReport, len(ids))
-	runPool(len(ids), opt.Workers, func(i int) {
-		reports[i] = runSupervised(ids[i], seed, opt)
-	})
-	return reports
+// RunExperimentsOpts is RunExperiments with the full option set and a
+// context whose cancellation winds the run down gracefully.
+func RunExperimentsOpts(ctx context.Context, ids []string, seed uint64, opt RunOptions) []RunReport {
+	return runBatch(ctx, ids, []uint64{seed}, opt, false)
 }
 
 // RunAllParallel executes every registered experiment with the same seed
@@ -286,27 +330,17 @@ type SweepEntry struct {
 	Obs obs.Snapshot
 }
 
-// SweepSeeds runs every (experiment, seed) pair across one worker pool
-// and aggregates per-metric min/mean/max across seeds. Entries come back
-// in the order of ids and the aggregation is deterministic regardless of
+// SweepSeeds runs every (experiment, seed) pair across one worker pool,
+// on the same per-experiment path and options as RunExperimentsOpts, and
+// aggregates per-metric min/mean/max across seeds. Entries come back in
+// the order of ids and the aggregation is deterministic regardless of
 // worker count, because per-pair reports land in a fixed slot before
 // anything is folded.
-func SweepSeeds(ids []string, seeds []uint64, workers int) []SweepEntry {
+func SweepSeeds(ctx context.Context, ids []string, seeds []uint64, opt RunOptions) []SweepEntry {
 	if len(ids) == 0 || len(seeds) == 0 {
 		return nil
 	}
-	if c := runstats.Active(); c != nil {
-		c.SetTotalExperiments(len(ids) * len(seeds))
-	}
-	reports := make([]RunReport, len(ids)*len(seeds))
-	runPool(len(reports), workers, func(i int) {
-		reports[i] = runOne(ids[i/len(seeds)], seeds[i%len(seeds)])
-		if res := reports[i].Result; res != nil {
-			// A sweep only needs aggregates; retaining every seed's trace
-			// would hold len(ids)*len(seeds) ring buffers in memory.
-			res.Events = nil
-		}
-	})
+	reports := runBatch(ctx, ids, seeds, opt, true)
 
 	entries := make([]SweepEntry, len(ids))
 	for ei, id := range ids {

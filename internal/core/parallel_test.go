@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -41,8 +42,8 @@ func TestRaceLaneParallelSweep(t *testing.T) {
 	// subset, enough concurrency to surface any shared mutable state
 	// between worlds.
 	seeds := []uint64{1, 2, 3}
-	want := SweepSeeds(raceIDs, seeds, 1)
-	got := SweepSeeds(raceIDs, seeds, 8)
+	want := SweepSeeds(context.Background(), raceIDs, seeds, RunOptions{Workers: 1})
+	got := SweepSeeds(context.Background(), raceIDs, seeds, RunOptions{Workers: 8})
 	if RenderSweep(got) != RenderSweep(want) {
 		t.Fatalf("sweep with 8 workers differs from sequential:\n--- got ---\n%s\n--- want ---\n%s",
 			RenderSweep(got), RenderSweep(want))
@@ -84,10 +85,10 @@ func TestRunAllParallelMatchesSequentialFullRun(t *testing.T) {
 }
 
 func TestRunExperimentsCollectsErrorsAndKeepsRunning(t *testing.T) {
-	Experiments["ZZ-boom"] = func(seed uint64) (*Result, error) {
+	Experiments["ZZ-boom"] = func(*Run) (*Result, error) {
 		return nil, errors.New("synthetic failure")
 	}
-	Experiments["ZZ-panic"] = func(seed uint64) (*Result, error) {
+	Experiments["ZZ-panic"] = func(*Run) (*Result, error) {
 		panic("synthetic panic")
 	}
 	defer delete(Experiments, "ZZ-boom")
@@ -112,10 +113,10 @@ func TestRunExperimentsCollectsErrorsAndKeepsRunning(t *testing.T) {
 }
 
 func TestSweepSeedsEmptyInputs(t *testing.T) {
-	if SweepSeeds(nil, []uint64{1}, 4) != nil {
+	if SweepSeeds(context.Background(), nil, []uint64{1}, RunOptions{Workers: 4}) != nil {
 		t.Fatal("sweep of no experiments should be nil")
 	}
-	if SweepSeeds([]string{"F3"}, nil, 4) != nil {
+	if SweepSeeds(context.Background(), []string{"F3"}, nil, RunOptions{Workers: 4}) != nil {
 		t.Fatal("sweep of no seeds should be nil")
 	}
 }

@@ -5,20 +5,19 @@ package core
 // own kernel, RNG stream, internet, LAN, malware build — coupled into
 // one campaign through a sim.PartitionSet's epoch-boundary mailboxes.
 // The site layout (count, sizes, seeds, epoch width) is part of the
-// scenario, like a seed; the -partitions flag only sizes the worker
-// pool that advances the shards, so any worker count produces
-// byte-identical reports, traces, metrics and alerts — the same
-// invariance contract AddHostsSharded established for fleet
+// scenario, like a seed; RunOptions.Partitions (the -partitions flag)
+// only sizes the worker pool that advances the shards, so any worker
+// count produces byte-identical reports, traces, metrics and alerts —
+// the same invariance contract AddHostsSharded established for fleet
 // construction.
 //
-// Worlds MUST be built on the experiment runner's goroutine: NewWorld
-// registers each site kernel with the goroutine's supervision scope
-// (DESIGN.md §13), which is what lets a stall watchdog or deadline
-// CancelRun fan out across every partition of the experiment.
+// Every site world joins the experiment's *Run (AramcoFleetOptions.Run,
+// DESIGN.md §13), so a stall watchdog, a deadline or a cancelled context
+// fans CancelRun out across every partition of the experiment, whichever
+// goroutine built or advances it.
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -28,30 +27,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/users"
 )
-
-// partitionWorkers is the resolved -partitions global. Like the faults
-// and activity globals it is set once at CLI start (or per test,
-// sequentially) and read-only while experiments run.
-var partitionWorkers = 1
-
-// SetPartitionWorkers installs the partition worker-pool width used by
-// partitioned experiments: n >= 1 threads, or 0 for all cores. The
-// value never changes simulation bytes — it is deliberately NOT part of
-// the determinism tuple journals and checkpoints record, so a run may
-// be journaled at one width and resumed at another, like -parallel.
-func SetPartitionWorkers(n int) error {
-	if n < 0 {
-		return fmt.Errorf("core: invalid partition worker count %d (want >= 1, or 0 for all cores)", n)
-	}
-	if n == 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	partitionWorkers = n
-	return nil
-}
-
-// PartitionWorkers returns the resolved partition worker-pool width.
-func PartitionWorkers() int { return partitionWorkers }
 
 // The C7 site layout: six sites (headquarters plus five regional
 // offices) exchanging mail every 15 simulated minutes. Both constants
@@ -84,9 +59,12 @@ type AramcoFleetOptions struct {
 	// sites (default 1h after the world starts); delivery lands at the
 	// next epoch boundary.
 	CarryAfter time.Duration
-	// Workers overrides the -partitions global for this fleet (<= 0
-	// defers to it). Any value is byte-equivalent.
+	// Workers sizes the pool advancing the site shards (<= 0 means 1).
+	// Any value is byte-equivalent.
 	Workers int
+	// Run is the experiment run every site world joins (nil: detached);
+	// site fleets with Activity unset follow its mix.
+	Run *Run
 }
 
 // AramcoFleet is a partitioned multi-site Aramco world: Sites[0] is the
@@ -99,8 +77,7 @@ type AramcoFleet struct {
 	workers int
 }
 
-// BuildAramcoFleet assembles the partitioned world. Must run on the
-// experiment runner's goroutine (see the package comment).
+// BuildAramcoFleet assembles the partitioned world.
 func BuildAramcoFleet(seed uint64, opts AramcoFleetOptions) (*AramcoFleet, error) {
 	if opts.Workstations <= 0 {
 		opts.Workstations = 600
@@ -114,12 +91,8 @@ func BuildAramcoFleet(seed uint64, opts AramcoFleetOptions) (*AramcoFleet, error
 	if opts.CarryAfter <= 0 {
 		opts.CarryAfter = time.Hour
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = PartitionWorkers()
-	}
 	start := shamoon.AramcoTrigger.Add(-24 * time.Hour)
-	f := &AramcoFleet{Set: sim.NewPartitionSet(aramcoEpoch), workers: workers}
+	f := &AramcoFleet{Set: sim.NewPartitionSet(aramcoEpoch), workers: max(opts.Workers, 1)}
 
 	// Site seeds are independent forks of one anchor, so the whole fleet
 	// is a pure function of (seed, layout) — not of build or run order.
@@ -133,6 +106,7 @@ func BuildAramcoFleet(seed uint64, opts AramcoFleetOptions) (*AramcoFleet, error
 			size++
 		}
 		w, err := NewWorld(WorldConfig{
+			Run:       opts.Run,
 			Seed:      anchor.ForkAt(uint64(i)).State(),
 			Start:     start,
 			MuteTrace: opts.MuteTrace,
@@ -274,18 +248,19 @@ func (f *AramcoFleet) FleetStats() shamoon.Stats {
 func (f *AramcoFleet) Reports() []*netsim.Request { return f.Sites[0].Reports }
 
 // RunAramcoPartitionedN is the partitioned C7 runner with fleet size,
-// site count, partition workers (<= 0 defers to -partitions),
-// build workers and seeding mode exposed. Reports are byte-identical
+// site count, partition workers (<= 0 means 1), build workers and
+// seeding mode exposed, on a detached world. Reports are byte-identical
 // across any partWorkers/buildWorkers value — the §14 property the
 // partition determinism tests and the ci.sh drift gate pin. The fleet
 // is silent (users.MixNone) like RunAramcoScaleN.
 func RunAramcoPartitionedN(seed uint64, fleet, sites, partWorkers, buildWorkers int, eagerDocs bool) (*Result, error) {
-	return runAramcoPartitionedMix(seed, fleet, sites, partWorkers, buildWorkers, eagerDocs, users.MixNone, true)
+	return runAramcoPartitionedMix(nil, seed, fleet, sites, partWorkers, buildWorkers, eagerDocs, users.MixNone, true)
 }
 
-func runAramcoPartitionedMix(seed uint64, fleet, sites, partWorkers, buildWorkers int,
+func runAramcoPartitionedMix(run *Run, seed uint64, fleet, sites, partWorkers, buildWorkers int,
 	eagerDocs bool, mix users.Mix, mute bool) (*Result, error) {
 	f, err := BuildAramcoFleet(seed, AramcoFleetOptions{
+		Run:          run,
 		Workstations: fleet,
 		Sites:        sites,
 		DocsPerHost:  2,

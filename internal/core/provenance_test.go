@@ -25,7 +25,7 @@ func TestProvenanceForestsValidAcrossExperiments(t *testing.T) {
 			if id == "C7" && testing.Short() {
 				t.Skip("C7 skipped in -short mode")
 			}
-			rep := runOne(id, 1)
+			rep := runOne(id, 1, RunOptions{})
 			if rep.Err != nil {
 				t.Fatalf("run: %v", rep.Err)
 			}

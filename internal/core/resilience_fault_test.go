@@ -2,39 +2,37 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/faults"
 	"repro/internal/obs"
 )
 
-// The R-series tests run under the default "takedown" profile — the one
-// the committed EXPERIMENTS.md assumes. Tests that switch profiles must
-// restore the default so later tests (and ExperimentIDs-wide sweeps in
-// this package) see the documented schedule.
-
-func restoreDefaultProfile(t *testing.T) {
-	t.Helper()
-	t.Cleanup(func() {
-		if err := SetFaultProfile(""); err != nil {
-			t.Fatalf("restore default profile: %v", err)
-		}
-	})
-}
-
+// TestResilienceProfileSelection: a run resolves its fault profile by
+// name. The zero value — a nil run included — is the default schedule the
+// committed EXPERIMENTS.md assumes, never an empty one, and an unknown
+// name fails the R-series experiment instead of running it.
 func TestResilienceProfileSelection(t *testing.T) {
-	restoreDefaultProfile(t)
-	if err := SetFaultProfile("bogus"); err == nil {
-		t.Fatal("SetFaultProfile(bogus) did not fail")
+	for _, c := range []struct {
+		run  *Run
+		want string
+	}{
+		{nil, faults.DefaultProfile},
+		{&Run{}, faults.DefaultProfile},
+		{&Run{opt: RunOptions{Faults: "chaos"}}, "chaos"},
+	} {
+		p, err := c.run.faultProfile()
+		if err != nil || p.Name != c.want {
+			t.Fatalf("faultProfile() = %q, %v; want %q", p.Name, err, c.want)
+		}
 	}
-	if FaultProfile().Name != faults.DefaultProfile {
-		t.Fatalf("failed SetFaultProfile mutated the profile to %q", FaultProfile().Name)
+	if rep := runOne("R1", 1, RunOptions{Faults: "bogus"}); rep.Err == nil ||
+		!strings.Contains(rep.Err.Error(), "unknown profile") {
+		t.Fatalf("R1 under an unknown profile = %v, want a refusal", rep.Err)
 	}
-	if err := SetFaultProfile("chaos"); err != nil {
-		t.Fatalf("SetFaultProfile(chaos): %v", err)
-	}
-	if FaultProfile().Name != "chaos" {
-		t.Fatalf("profile = %q, want chaos", FaultProfile().Name)
+	if res := runExperiment(t, "R1"); !strings.HasSuffix(res.Paper, "under profile "+faults.DefaultProfile) {
+		t.Fatalf("zero-option R1 ran under the wrong profile: %s", res.Paper)
 	}
 }
 
@@ -117,12 +115,8 @@ func TestResilienceR5AVAttrition(t *testing.T) {
 // disabled: every experiment must still pass via its baseline branch, and
 // the campaigns must emit zero fault-category interventions.
 func TestResilienceBaselineProfile(t *testing.T) {
-	restoreDefaultProfile(t)
-	if err := SetFaultProfile("none"); err != nil {
-		t.Fatalf("SetFaultProfile(none): %v", err)
-	}
 	for _, id := range []string{"R1", "R2", "R3", "R4", "R5"} {
-		res := runExperiment(t, id)
+		res := runExperimentWith(t, id, RunOptions{Faults: "none"})
 		if v, ok := res.Obs.Counters["faults.domain.takedown"]; ok && v > 0 {
 			t.Fatalf("%s: baseline run performed %g takedowns", id, v)
 		}

@@ -222,7 +222,7 @@ func TestExperimentsAcrossSeeds(t *testing.T) {
 	fast := []string{"F3", "F5", "F6", "C3", "C8", "C9", "C10", "C11", "E2"}
 	for _, id := range fast {
 		for seed := uint64(2); seed <= 4; seed++ {
-			res, err := Experiments[id](seed)
+			res, err := Experiments[id](&Run{ID: id, Seed: seed})
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", id, seed, err)
 			}

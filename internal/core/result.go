@@ -201,8 +201,9 @@ func (r *Result) Render() string {
 	return b.String()
 }
 
-// Runner executes one experiment with a seed.
-type Runner func(seed uint64) (*Result, error)
+// Runner executes one experiment run: r carries the seed and the
+// configuration, and its worlds join r through WorldConfig.Run.
+type Runner func(r *Run) (*Result, error)
 
 // Experiments indexes every experiment by ID (see DESIGN.md).
 var Experiments = map[string]Runner{

@@ -1,120 +1,254 @@
 package core
 
 import (
-	"errors"
+	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/runstats"
 	"repro/internal/sim"
+	"repro/internal/users"
 )
 
 // The supervision layer (DESIGN.md §13) makes long multi-experiment runs
 // survivable: a vtime-stall watchdog riding the kernel Probe hook, per-
-// experiment wall-clock deadlines, and graceful SIGINT/SIGTERM shutdown.
-// Supervision lives entirely on the wall-clock plane: it may read probe
-// samples and it may abort an experiment (sim.Kernel.CancelRun unwinds
-// at a step boundary), but it never writes to a trace, a metrics
-// registry, or any drift-gated artefact. An aborted experiment's report
-// is marked partial and excluded from every determinism guarantee;
-// sibling experiments' bytes are untouched because each owns its own
-// world.
-//
-// Experiment scopes are registered unconditionally (they are two map
-// operations per experiment), so RequestShutdown can wind down in-
-// flight experiments even when no watchdog or deadline is armed.
+// experiment wall-clock deadlines, and graceful shutdown through context
+// cancellation. Supervision lives entirely on the wall-clock plane: it
+// may read probe samples and it may abort an experiment (sim.Kernel.
+// CancelRun unwinds at a step boundary), but it never writes to a trace,
+// a metrics registry, or any drift-gated artefact. An aborted
+// experiment's report is marked partial and excluded from every
+// determinism guarantee; sibling experiments' bytes are untouched
+// because each owns its own world.
 
-// SuperviseConfig arms the global supervisor.
-type SuperviseConfig struct {
-	// Stall is the vtime-stall watchdog window: an experiment kernel
-	// that keeps executing events while its virtual clock stays frozen
-	// for longer than this wall-clock window is aborted. 0 disarms.
-	Stall time.Duration
-	// Deadline is the per-experiment wall-clock budget, measured from
-	// the experiment's start; exceeding it aborts the experiment at its
-	// next step boundary. 0 disarms.
-	Deadline time.Duration
+// Run is one experiment execution: its identity, the configuration tuple
+// it runs under, and the supervision scope that owns every kernel its
+// worlds build. The runner hands each experiment its own Run; worlds
+// join it through WorldConfig.Run, which is how a deadline, a stall
+// watchdog or a cancelled context reaches every kernel of the
+// experiment — partitioned site shards included. A nil Run is a
+// detached world under the default configuration.
+type Run struct {
+	ID   string
+	Seed uint64
+
+	opt     RunOptions // the batch's configuration and supervision windows
+	started time.Time
+	stop    func() bool // detaches the context.AfterFunc cancel, if any
+
+	mu        sync.Mutex
+	kernels   []*sim.Kernel
+	watches   []*kernelWatch
+	cancelled bool
 }
 
-// Supervisor is the armed watchdog/deadline sweeper. At most one is
-// active per process (EnableSupervision replaces any previous one).
-type Supervisor struct {
-	cfg      SuperviseConfig
-	done     chan struct{}
-	stopOnce sync.Once
-}
-
-var activeSup atomic.Pointer[Supervisor]
-
-// EnableSupervision installs a global supervisor and, when a stall
-// window or deadline is armed, starts its sweep goroutine.
-func EnableSupervision(cfg SuperviseConfig) *Supervisor {
-	DisableSupervision()
-	s := &Supervisor{cfg: cfg, done: make(chan struct{})}
-	activeSup.Store(s)
-	if cfg.Stall > 0 || cfg.Deadline > 0 {
-		go s.loop()
+// faultProfile resolves the run's adversity profile by name, so the zero
+// value means faults.DefaultProfile and an unknown name is an error, never
+// a silently empty schedule.
+func (r *Run) faultProfile() (faults.Profile, error) {
+	if r == nil {
+		return faults.Lookup("")
 	}
-	return s
+	return faults.Lookup(r.opt.Faults)
 }
 
-// DisableSupervision detaches and stops the global supervisor.
-func DisableSupervision() {
-	if s := activeSup.Swap(nil); s != nil {
-		s.stopOnce.Do(func() { close(s.done) })
+// fleetMix resolves a fleet's Activity option against the run's default
+// mix: an explicit option wins (users.MixNone forces silence even under a
+// populated run); the zero value follows the run. Returns "" when no
+// population should be attached.
+func (r *Run) fleetMix(opt users.Mix) users.Mix {
+	if opt == "" && r != nil {
+		opt = r.opt.Activity
+	}
+	if opt == users.MixNone {
+		return ""
+	}
+	return opt
+}
+
+// partitions is the worker width advancing the run's partitioned worlds.
+func (r *Run) partitions() int {
+	if r == nil || r.opt.Partitions < 1 {
+		return 1
+	}
+	return r.opt.Partitions
+}
+
+// supervised reports whether a watchdog window or deadline is armed (the
+// X1 spin self-test refuses to run without one).
+func (r *Run) supervised() bool {
+	return r != nil && r.opt.armed()
+}
+
+// register joins a freshly built kernel to the run (no-op for a detached
+// world) and, when a stall window is armed, attaches its sampling watch
+// to the kernel's probe chain. Called from NewWorld for every world.
+func (r *Run) register(k *sim.Kernel) {
+	if r == nil {
+		return
+	}
+	var w *kernelWatch
+	if r.opt.Stall > 0 {
+		w = &kernelWatch{}
+		w.reset()
+	}
+	r.mu.Lock()
+	r.kernels = append(r.kernels, k)
+	if w != nil {
+		r.watches = append(r.watches, w)
+	}
+	cancelled := r.cancelled
+	r.mu.Unlock()
+	if cancelled {
+		// A kernel born into an already-cancelled run (deadline or
+		// shutdown hit during a later world build) aborts on its first
+		// step.
+		k.CancelRun(sim.ErrCancelled)
+	}
+	if w != nil {
+		k.AttachProbe(w, 0)
 	}
 }
 
-// ActiveSupervisor returns the armed supervisor, or nil.
-func ActiveSupervisor() *Supervisor { return activeSup.Load() }
+// cancel requests cancellation of every kernel in the run, once. Reports
+// whether this call armed the cancellation.
+func (r *Run) cancel(cause error) bool {
+	r.mu.Lock()
+	if r.cancelled {
+		r.mu.Unlock()
+		return false
+	}
+	r.cancelled = true
+	kernels := append([]*sim.Kernel(nil), r.kernels...)
+	r.mu.Unlock()
+	for _, k := range kernels {
+		k.CancelRun(cause)
+	}
+	return true
+}
 
-// SupervisionArmed reports whether a watchdog window or deadline is
-// armed (the X1 spin self-test refuses to run without one).
-func SupervisionArmed() bool {
-	s := ActiveSupervisor()
-	return s != nil && (s.cfg.Stall > 0 || s.cfg.Deadline > 0)
+func (r *Run) watchList() []*kernelWatch {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]*kernelWatch(nil), r.watches...)
+}
+
+// kernelList snapshots the run's kernels (used by the abort path's
+// pool-balance self-check, on the experiment's own goroutine).
+func (r *Run) kernelList() []*sim.Kernel {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]*sim.Kernel(nil), r.kernels...)
+}
+
+// --- the batch: one RunExperimentsOpts or SweepSeeds call ---
+
+// batch is one call's worth of runs: the options they share, the context
+// that winds them down, and — only when a stall window or deadline is
+// armed — the open runs its sweeper goroutine polls.
+type batch struct {
+	ctx context.Context
+	opt RunOptions
+
+	mu   sync.Mutex
+	open map[*Run]struct{}
+	done chan struct{}
+	wg   sync.WaitGroup
+}
+
+// startBatch opens a batch and, when a window is armed, starts its
+// sweeper. Callers must stop it.
+func startBatch(ctx context.Context, opt RunOptions) *batch {
+	b := &batch{ctx: ctx, opt: opt}
+	if opt.armed() {
+		b.open = make(map[*Run]struct{})
+		b.done = make(chan struct{})
+		b.wg.Add(1)
+		go b.loop()
+	}
+	return b
+}
+
+// stop ends the sweeper, if any, and waits for it to exit.
+func (b *batch) stop() {
+	if b.done != nil {
+		close(b.done)
+		b.wg.Wait()
+	}
+}
+
+// begin creates a run for (id, seed) and opens it to the sweeper and to
+// context cancellation; end closes it.
+func (b *batch) begin(id string, seed uint64) *Run {
+	r := &Run{ID: id, Seed: seed, opt: b.opt, started: time.Now()}
+	if b.ctx.Done() != nil {
+		r.stop = context.AfterFunc(b.ctx, func() {
+			if r.cancel(fmt.Errorf("run interrupted: %w", context.Cause(b.ctx))) {
+				if c := runstats.Active(); c != nil {
+					c.CountCancel()
+				}
+			}
+		})
+	}
+	if b.open != nil {
+		b.mu.Lock()
+		b.open[r] = struct{}{}
+		b.mu.Unlock()
+	}
+	return r
+}
+
+func (b *batch) end(r *Run) {
+	if r.stop != nil {
+		r.stop()
+	}
+	if b.open != nil {
+		b.mu.Lock()
+		delete(b.open, r)
+		b.mu.Unlock()
+	}
 }
 
 // sweepEvery bounds the watchdog's polling cadence: a quarter of the
 // tightest armed window, clamped to [5ms, 250ms].
-func (s *Supervisor) sweepEvery() time.Duration {
-	tight := s.cfg.Stall
-	if tight == 0 || (s.cfg.Deadline > 0 && s.cfg.Deadline < tight) {
-		tight = s.cfg.Deadline
+func (b *batch) sweepEvery() time.Duration {
+	tight := b.opt.Stall
+	if tight == 0 || (b.opt.Deadline > 0 && b.opt.Deadline < tight) {
+		tight = b.opt.Deadline
 	}
-	tick := tight / 4
-	if tick < 5*time.Millisecond {
-		tick = 5 * time.Millisecond
-	}
-	if tick > 250*time.Millisecond {
-		tick = 250 * time.Millisecond
-	}
-	return tick
+	return min(max(tight/4, 5*time.Millisecond), 250*time.Millisecond)
 }
 
-func (s *Supervisor) loop() {
-	t := time.NewTicker(s.sweepEvery())
+func (b *batch) loop() {
+	defer b.wg.Done()
+	t := time.NewTicker(b.sweepEvery())
 	defer t.Stop()
 	for {
 		select {
-		case <-s.done:
+		case <-b.done:
 			return
 		case now := <-t.C:
-			s.sweep(now)
+			b.sweep(now)
 		}
 	}
 }
 
-// sweep checks every open experiment scope against the armed deadline
-// and stall window.
-func (s *Supervisor) sweep(now time.Time) {
-	for _, sc := range openScopes() {
-		if s.cfg.Deadline > 0 && now.Sub(sc.started) > s.cfg.Deadline {
-			if sc.cancel(fmt.Errorf("%w: experiment %s over its %v wall budget",
-				sim.ErrDeadline, sc.id, s.cfg.Deadline)) {
+// sweep checks every open run against the armed deadline and stall
+// window.
+func (b *batch) sweep(now time.Time) {
+	b.mu.Lock()
+	runs := make([]*Run, 0, len(b.open))
+	for r := range b.open {
+		runs = append(runs, r)
+	}
+	b.mu.Unlock()
+	for _, r := range runs {
+		if b.opt.Deadline > 0 && now.Sub(r.started) > b.opt.Deadline {
+			if r.cancel(fmt.Errorf("%w: experiment %s over its %v wall budget",
+				sim.ErrDeadline, r.ID, b.opt.Deadline)) {
 				if c := runstats.Active(); c != nil {
 					c.CountDeadline()
 					c.CountCancel()
@@ -122,13 +256,10 @@ func (s *Supervisor) sweep(now time.Time) {
 			}
 			continue
 		}
-		if s.cfg.Stall == 0 {
-			continue
-		}
-		for _, w := range sc.watchList() {
-			if w.stalled(now, s.cfg.Stall) {
-				if sc.cancel(fmt.Errorf("%w: experiment %s executed events for %v of wall clock without advancing vtime",
-					sim.ErrStalled, sc.id, s.cfg.Stall)) {
+		for _, w := range r.watchList() {
+			if w.stalled(now, b.opt.Stall) {
+				if r.cancel(fmt.Errorf("%w: experiment %s executed events for %v of wall clock without advancing vtime",
+					sim.ErrStalled, r.ID, b.opt.Stall)) {
 					if c := runstats.Active(); c != nil {
 						c.CountStall()
 						c.CountCancel()
@@ -137,121 +268,6 @@ func (s *Supervisor) sweep(now time.Time) {
 				break
 			}
 		}
-	}
-}
-
-// --- experiment scopes ---
-
-// expScope is one in-flight experiment: its identity, start wall time,
-// and every kernel its worlds have built so far. The scope is the unit
-// of cancellation — a deadline or shutdown cancels all of its kernels,
-// and whichever one the experiment is currently stepping unwinds.
-type expScope struct {
-	id      string
-	seed    uint64
-	started time.Time
-
-	mu        sync.Mutex
-	kernels   []*sim.Kernel
-	watches   []*kernelWatch
-	cancelled bool
-}
-
-// cancel requests cancellation of every kernel in the scope, once.
-// Reports whether this call armed the cancellation.
-func (sc *expScope) cancel(cause error) bool {
-	sc.mu.Lock()
-	if sc.cancelled {
-		sc.mu.Unlock()
-		return false
-	}
-	sc.cancelled = true
-	kernels := append([]*sim.Kernel(nil), sc.kernels...)
-	sc.mu.Unlock()
-	for _, k := range kernels {
-		k.CancelRun(cause)
-	}
-	return true
-}
-
-func (sc *expScope) watchList() []*kernelWatch {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return append([]*kernelWatch(nil), sc.watches...)
-}
-
-// kernelList snapshots the scope's kernels (used by the abort path's
-// pool-balance self-check, on the experiment's own goroutine).
-func (sc *expScope) kernelList() []*sim.Kernel {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return append([]*sim.Kernel(nil), sc.kernels...)
-}
-
-var (
-	scopeMu sync.Mutex
-	scopes  = map[uint64]*expScope{} // goroutine id -> open scope
-)
-
-// beginScope opens an experiment scope on the calling goroutine (worlds
-// are always built on the goroutine that runs the experiment, so
-// NewWorld finds the scope by goroutine id). The returned close func
-// restores any outer scope.
-func beginScope(id string, seed uint64) (*expScope, func()) {
-	g := goid()
-	sc := &expScope{id: id, seed: seed, started: time.Now()}
-	scopeMu.Lock()
-	prev := scopes[g]
-	scopes[g] = sc
-	scopeMu.Unlock()
-	return sc, func() {
-		scopeMu.Lock()
-		if prev != nil {
-			scopes[g] = prev
-		} else {
-			delete(scopes, g)
-		}
-		scopeMu.Unlock()
-	}
-}
-
-func openScopes() []*expScope {
-	scopeMu.Lock()
-	defer scopeMu.Unlock()
-	out := make([]*expScope, 0, len(scopes))
-	for _, sc := range scopes {
-		out = append(out, sc)
-	}
-	return out
-}
-
-// superviseKernel registers a freshly built kernel with the calling
-// goroutine's experiment scope (no-op outside one) and, when a stall
-// watchdog is armed, attaches its sampling watch to the kernel's probe
-// chain. Called from NewWorld for every world.
-func superviseKernel(k *sim.Kernel) {
-	scopeMu.Lock()
-	sc := scopes[goid()]
-	scopeMu.Unlock()
-	if sc == nil {
-		return
-	}
-	w := &kernelWatch{}
-	w.reset()
-	sc.mu.Lock()
-	sc.kernels = append(sc.kernels, k)
-	sc.watches = append(sc.watches, w)
-	cancelled := sc.cancelled
-	sc.mu.Unlock()
-	if cancelled {
-		// A kernel born into an already-cancelled scope (deadline hit
-		// during a later world build) aborts on its first step.
-		k.CancelRun(sim.ErrCancelled)
-	} else if cause := ShutdownCause(); cause != nil {
-		k.CancelRun(fmt.Errorf("run interrupted: %w", cause))
-	}
-	if s := ActiveSupervisor(); s != nil && s.cfg.Stall > 0 {
-		k.AttachProbe(w, 0)
 	}
 }
 
@@ -295,63 +311,4 @@ func (w *kernelWatch) stalled(now time.Time, window time.Duration) bool {
 		return false
 	}
 	return now.UnixNano()-w.advanceWall.Load() > window.Nanoseconds()
-}
-
-// --- graceful shutdown ---
-
-type shutdownState struct{ cause error }
-
-var shutdownReq atomic.Pointer[shutdownState]
-
-// ErrInterrupted is the generic shutdown cause.
-var ErrInterrupted = errors.New("run interrupted")
-
-// RequestShutdown begins a graceful wind-down: experiments not yet
-// started are skipped, and every in-flight experiment is cancelled at
-// its next step boundary (its report comes back partial). Safe to call
-// from a signal handler goroutine; the first cause wins.
-func RequestShutdown(cause error) {
-	if cause == nil {
-		cause = ErrInterrupted
-	}
-	if !shutdownReq.CompareAndSwap(nil, &shutdownState{cause: cause}) {
-		return
-	}
-	for _, sc := range openScopes() {
-		if sc.cancel(fmt.Errorf("run interrupted: %w", cause)) {
-			if c := runstats.Active(); c != nil {
-				c.CountCancel()
-			}
-		}
-	}
-}
-
-// ShutdownCause returns the pending shutdown cause, or nil.
-func ShutdownCause() error {
-	if s := shutdownReq.Load(); s != nil {
-		return s.cause
-	}
-	return nil
-}
-
-// ResetShutdown clears a pending shutdown (tests; a fresh CLI process
-// never needs it).
-func ResetShutdown() { shutdownReq.Store(nil) }
-
-// goid parses the current goroutine's id from the stack header. Worlds
-// are built on the goroutine that runs their experiment, so this is the
-// key that links NewWorld back to the runOne scope without threading a
-// context through every experiment signature.
-func goid() uint64 {
-	var buf [40]byte
-	n := runtime.Stack(buf[:], false)
-	const prefix = len("goroutine ")
-	var id uint64
-	for _, c := range buf[prefix:n] {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + uint64(c-'0')
-	}
-	return id
 }

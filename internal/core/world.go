@@ -63,6 +63,7 @@ type World struct {
 	Registry *malware.Registry
 	WU       *netsim.WindowsUpdate
 
+	run   *Run // nil for a detached world
 	lans  map[string]*netsim.LAN
 	hosts map[string]*netsim.LAN    // host name -> its LAN
 	extra map[string]map[string]any // host name -> implant Extra
@@ -70,6 +71,10 @@ type World struct {
 
 // WorldConfig parameterizes NewWorld.
 type WorldConfig struct {
+	// Run is the experiment run the world belongs to: its kernel joins the
+	// run's supervision scope and its fleets follow the run's activity
+	// mix. nil builds a detached world under the default configuration.
+	Run   *Run
 	Seed  uint64
 	Start time.Time // zero = sim.Epoch
 	// MuteTrace disables trace record retention (counters still work);
@@ -90,12 +95,13 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	}
 	k := sim.NewKernel(opts...)
 	runstats.AttachKernel(k)
-	superviseKernel(k)
+	cfg.Run.register(k)
 	if cfg.MuteTrace {
 		k.Trace().SetMuted(true)
 	}
 	w := &World{
 		K:        k,
+		run:      cfg.Run,
 		Internet: netsim.NewInternet(k),
 		Radio:    netsim.NewRadio(k),
 		lans:     make(map[string]*netsim.LAN),
