@@ -195,16 +195,18 @@ func BenchmarkClaimC7Partitioned1(b *testing.B) { benchC7Partitioned(b, 1) }
 
 func BenchmarkClaimC7Partitioned4(b *testing.B) { benchC7Partitioned(b, 4) }
 
-// BenchmarkClaimC7Reduced is the 2,000-workstation slice of C7 that the
-// ci.sh bench lane runs with -benchmem: small enough for CI, large enough
-// that the fleet-scale allocation profile (document seeding, image drops,
-// timer churn) dominates. BENCH_C7.json records its trajectory, including
-// the ns/host-event unit cost.
+// BenchmarkClaimC7Reduced is the one-site 2,000-workstation slice of C7
+// that the ci.sh bench lane runs with -benchmem: small enough for CI,
+// large enough that the fleet-scale allocation profile (document seeding,
+// image drops, timer churn) dominates. One site keeps it the same
+// single-kernel world the frozen BENCH_C7.json baseline measured.
+// BENCH_C7.json records its trajectory, including the ns/host-event unit
+// cost.
 func BenchmarkClaimC7Reduced(b *testing.B) {
 	b.ReportAllocs()
 	var events float64
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunAramcoScaleN(uint64(1+i), 2000, 0, false)
+		res, err := core.RunAramcoPartitionedN(uint64(1+i), 2000, 1, 0, 0, false)
 		if err != nil {
 			b.Fatalf("C7 reduced: %v", err)
 		}
@@ -317,14 +319,16 @@ func BenchmarkDetectNoiseFloor(b *testing.B) {
 
 // --- Benign user-activity layer at fleet scale ---
 
-// BenchmarkUsersC7Busy is the populated twin of the full 30,000-host C7
-// run: every workstation carries an office agent churning documents,
-// mail, web and shares through the whole campaign. The issue's cost gate:
-// B/op must stay within 1.3x of the silent BenchmarkClaimC7AramcoScale.
+// BenchmarkUsersC7Busy is the populated twin of the registry C7: the
+// same 30,000 hosts over the default six-site layout (sites = 0), with
+// every workstation carrying an office agent churning documents, mail,
+// web and shares through the whole campaign. It is manual-only and
+// ungated; the 1.3x busy/silent bound is asserted at 2,000 hosts by
+// TestBusyFleetMemoryBound.
 func BenchmarkUsersC7Busy(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunAramcoBusyN(uint64(1+i), 30000, 0)
+		res, err := core.RunAramcoBusyN(uint64(1+i), 30000, 0, 0)
 		if err != nil {
 			b.Fatalf("C7 busy: %v", err)
 		}
@@ -335,13 +339,14 @@ func BenchmarkUsersC7Busy(b *testing.B) {
 	}
 }
 
-// BenchmarkUsersC7BusyReduced is the 2,000-host slice the ci.sh bench
-// lane tracks next to BenchmarkClaimC7Reduced — the committed
-// BENCH_C7.json pair is the machine-checkable form of the 1.3x bound.
+// BenchmarkUsersC7BusyReduced is the one-site 2,000-host slice the
+// ci.sh bench lane tracks next to BenchmarkClaimC7Reduced, so the
+// committed BENCH_C7.json pair records the busy/silent B/op that
+// TestBusyFleetMemoryBound bounds at 1.3x.
 func BenchmarkUsersC7BusyReduced(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunAramcoBusyN(uint64(1+i), 2000, 0)
+		res, err := core.RunAramcoBusyN(uint64(1+i), 2000, 1, 0)
 		if err != nil {
 			b.Fatalf("C7 busy reduced: %v", err)
 		}

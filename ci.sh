@@ -87,14 +87,15 @@ go run ./cmd/benchjson -check BENCH_C7.json -require "$bench_req" \
 tmp_bench=$(mktemp)
 go test -timeout 300s -run '^$' -bench 'SeedDocuments|CheckWipeLazy' -benchmem ./internal/host | tee -a "$tmp_bench"
 go test -timeout 300s -run '^$' -bench 'ScheduleFire|ScheduleCancel' -benchtime=0.2s -benchmem ./internal/sim | tee -a "$tmp_bench"
-# UsersC7BusyReduced is the populated twin of ClaimC7Reduced: its B/op
-# next to the silent number is the machine-checkable form of ISSUE 7's
-# "busy fleet within 1.3x of the silent baseline" bound (the full-scale
-# assertion lives in TestBusyFleetMemoryBound).
+# ClaimC7Reduced and UsersC7BusyReduced are the one-site 2,000-host
+# slice of the C7 runner, silent and populated: their B/op pair records
+# the "busy fleet within 1.3x of the silent run" bound, which
+# TestBusyFleetMemoryBound asserts on the same slice (nothing gates the
+# 30,000-host busy fleet).
 # The Partitioned1/Partitioned4 pair prices the §14 epoch-barrier and
-# mailbox machinery at two worker widths over an identical world — both
-# must carry the ns/host-event unit cost next to the single-kernel
-# numbers.
+# mailbox machinery at two worker widths over an identical six-site
+# world — both must carry the ns/host-event unit cost next to the
+# one-site numbers.
 go test -timeout 600s -run '^$' -bench 'ClaimC7Reduced|ClaimC7AramcoScale|ClaimC7Partitioned|UsersC7BusyReduced' -benchtime=1x -benchmem . | tee -a "$tmp_bench"
 go run ./cmd/benchjson -o BENCH_C7.json -label after \
     -require "$bench_req" -min-bytes-ratio ClaimC7Reduced=2 -require-metric "$bench_metric" < "$tmp_bench"

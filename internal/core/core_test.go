@@ -90,9 +90,9 @@ func TestC5ExfilVolume(t *testing.T) { runExperiment(t, "C5") }
 func TestC6Suicide(t *testing.T)     { runExperiment(t, "C6") }
 
 // The full 30,000-host C7 runs in the benchmark harness; the test tier
-// uses a 2,000-host fleet for speed with identical mechanics.
+// uses the one-site 2,000-host slice for speed with identical mechanics.
 func TestC7AramcoScaleReduced(t *testing.T) {
-	res, err := runAramcoScale(1, 2000)
+	res, err := RunAramcoPartitionedN(1, 2000, 1, 0, 0, false)
 	if err != nil {
 		t.Fatalf("C7: %v", err)
 	}

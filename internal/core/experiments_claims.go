@@ -366,77 +366,7 @@ func RunC6Suicide(run *Run) (*Result, error) {
 // hardcoded trigger, stops booting, and reports home to the hub through
 // the epoch mailboxes.
 func RunC7AramcoScale(run *Run) (*Result, error) {
-	return runAramcoPartitionedMix(run, run.Seed, 30000, aramcoSiteCount, run.partitions(), 0, false, users.MixNone, true)
-}
-
-// runAramcoScale is the single-kernel C7 slice the reduced benches and
-// substrate tests drive (the registry C7 runs the partitioned world).
-func runAramcoScale(seed uint64, fleet int) (*Result, error) {
-	return RunAramcoScaleN(seed, fleet, 0, false)
-}
-
-// RunAramcoScaleN is the C7 runner with its fleet size, build-worker
-// count, and seeding mode exposed. Reports are byte-identical across any
-// workers value and across eager/lazy seeding — the property the
-// determinism tests and the bench lane pin. The fleet is explicitly
-// silent (users.MixNone) so the frozen BENCH_C7.json baseline never
-// depends on an activity mix; RunAramcoBusyN is the populated twin.
-func RunAramcoScaleN(seed uint64, fleet, workers int, eagerDocs bool) (*Result, error) {
-	return runAramcoScaleMix(seed, fleet, workers, eagerDocs, users.MixNone)
-}
-
-func runAramcoScaleMix(seed uint64, fleet, workers int, eagerDocs bool, mix users.Mix) (*Result, error) {
-	start := shamoon.AramcoTrigger.Add(-24 * time.Hour)
-	w, err := NewWorld(WorldConfig{Seed: seed, Start: start, MuteTrace: true})
-	if err != nil {
-		return nil, err
-	}
-	sc, err := BuildAramco(w, AramcoOptions{
-		Workstations: fleet,
-		DocsPerHost:  2,
-		SpreadEvery:  2 * time.Hour,
-		LeanImages:   true,
-		BuildWorkers: workers,
-		EagerDocs:    eagerDocs,
-		Activity:     mix,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := w.K.RunUntil(shamoon.AramcoTrigger.Add(2 * time.Hour)); err != nil {
-		return nil, err
-	}
-
-	res := &Result{
-		ID:    "C7",
-		Title: "Aramco-scale destruction",
-		Paper: "complete destruction of ~30,000 workstations; trigger August 15, 2012, 08:08 UTC",
-	}
-	res.metric("fleet_size", float64(fleet), "hosts")
-	res.metric("infected", float64(sc.Shamoon.InfectedCount()), "hosts")
-	res.metric("wiped_unbootable", float64(sc.WipedCount()), "hosts")
-	res.metric("mbrs_overwritten", float64(sc.Shamoon.Stats.MBRsOverwritten), "hosts")
-	res.metric("files_overwritten", float64(sc.Shamoon.Stats.FilesWiped), "files")
-	res.metric("reports_sent", float64(sc.Shamoon.Stats.ReportsSent), "reports")
-	// Everything wiped exactly at/after the hardcoded instant.
-	wipedBefore := 0
-	for _, h := range sc.Hosts {
-		for _, e := range h.EventLog() {
-			if strings.Contains(e.Message, "host wiped") && e.At.Before(shamoon.AramcoTrigger) {
-				wipedBefore++
-			}
-		}
-	}
-	res.metric("wiped_before_trigger", float64(wipedBefore), "hosts")
-	if sc.Users != nil {
-		res.metric("benign_agents", float64(sc.Users.Stats.Agents), "agents")
-		res.metric("benign_actions", float64(sc.Users.Stats.Actions()), "actions")
-	}
-	res.Pass = sc.Shamoon.InfectedCount() == fleet && sc.WipedCount() == fleet && wipedBefore == 0
-	res.summaryf("%d/%d workstations infected and left unbootable; 0 wiped before the hardcoded trigger instant",
-		sc.WipedCount(), fleet)
-	res.CaptureObs(w.K)
-	return res, nil
+	return runAramco(run, run.Seed, 30000, aramcoSiteCount, run.partitions(), 0, false, users.MixNone, true)
 }
 
 // RunC8JPEGBug verifies the coding-mistake claim: wiped files contain only

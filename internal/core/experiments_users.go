@@ -231,11 +231,3 @@ func RunD5NoiseFloor(run *Run) (*Result, error) {
 	res.CaptureObs(w.K)
 	return res, nil
 }
-
-// RunAramcoBusyN is RunAramcoScaleN with the fleet populated by office
-// agents — the memory/throughput twin the BENCH gate compares against
-// the silent baseline (ISSUE 7: populated 30k-host fleet within 1.3x of
-// BENCH_C7.json).
-func RunAramcoBusyN(seed uint64, fleet, workers int) (*Result, error) {
-	return runAramcoScaleMix(seed, fleet, workers, false, users.MixOffice)
-}

@@ -9,14 +9,15 @@ import (
 	"repro/internal/sim"
 )
 
-// c7Fingerprint runs a reduced C7 with the given build-worker count and
-// seeding mode, and flattens everything observable — the rendered report,
-// every metric, and the full obs snapshot — into one comparable string.
+// c7Fingerprint runs the one-site reduced C7 with the given build-worker
+// count and seeding mode, and flattens everything observable — the
+// rendered report, every metric, and the full obs snapshot — into one
+// comparable string.
 func c7Fingerprint(t *testing.T, workers int, eager bool) string {
 	t.Helper()
-	res, err := RunAramcoScaleN(7, 300, workers, eager)
+	res, err := RunAramcoPartitionedN(7, 300, 1, 0, workers, eager)
 	if err != nil {
-		t.Fatalf("RunAramcoScaleN(workers=%d eager=%v): %v", workers, eager, err)
+		t.Fatalf("RunAramcoPartitionedN(workers=%d eager=%v): %v", workers, eager, err)
 	}
 	obsJSON, err := json.Marshal(res.Obs)
 	if err != nil {

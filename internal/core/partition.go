@@ -247,17 +247,30 @@ func (f *AramcoFleet) FleetStats() shamoon.Stats {
 // epoch mailboxes.
 func (f *AramcoFleet) Reports() []*netsim.Request { return f.Sites[0].Reports }
 
-// RunAramcoPartitionedN is the partitioned C7 runner with fleet size,
-// site count, partition workers (<= 0 means 1), build workers and
-// seeding mode exposed, on a detached world. Reports are byte-identical
-// across any partWorkers/buildWorkers value — the §14 property the
-// partition determinism tests and the ci.sh drift gate pin. The fleet
-// is silent (users.MixNone) like RunAramcoScaleN.
+// RunAramcoPartitionedN is the C7 runner with fleet size, site count,
+// partition workers (<= 0 means 1), build workers and seeding mode
+// exposed, on a detached world. Reports are byte-identical across any
+// partWorkers/buildWorkers value and across eager/lazy seeding — the
+// §9/§14 properties the determinism tests and the ci.sh drift gate pin.
+// sites = 1 is the single-kernel world (one shard, no mailbox traffic),
+// which the reduced benches and substrate tests drive. The fleet is
+// explicitly silent (users.MixNone) so the frozen BENCH_C7.json baseline
+// never depends on an activity mix; RunAramcoBusyN is the populated twin.
 func RunAramcoPartitionedN(seed uint64, fleet, sites, partWorkers, buildWorkers int, eagerDocs bool) (*Result, error) {
-	return runAramcoPartitionedMix(nil, seed, fleet, sites, partWorkers, buildWorkers, eagerDocs, users.MixNone, true)
+	return runAramco(nil, seed, fleet, sites, partWorkers, buildWorkers, eagerDocs, users.MixNone, true)
 }
 
-func runAramcoPartitionedMix(run *Run, seed uint64, fleet, sites, partWorkers, buildWorkers int,
+// RunAramcoBusyN is RunAramcoPartitionedN with the fleet populated by
+// office agents and its build-worker count exposed — the memory and
+// throughput twin the 1.3x cost gate compares against the silent run.
+func RunAramcoBusyN(seed uint64, fleet, sites, buildWorkers int) (*Result, error) {
+	return runAramco(nil, seed, fleet, sites, 0, buildWorkers, false, users.MixOffice, true)
+}
+
+// runAramco builds the C7 fleet, runs it past the trigger and scores it:
+// the one code path behind every C7 result, from the one-site reduced
+// slice to the registry's six-site 30,000-host world.
+func runAramco(run *Run, seed uint64, fleet, sites, partWorkers, buildWorkers int,
 	eagerDocs bool, mix users.Mix, mute bool) (*Result, error) {
 	f, err := BuildAramcoFleet(seed, AramcoFleetOptions{
 		Run:          run,

@@ -3,12 +3,15 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/host"
 	"repro/internal/malware/shamoon"
 	"repro/internal/sim"
 	"repro/internal/users"
@@ -29,7 +32,7 @@ func resultBytes(t *testing.T, res *Result) []byte {
 // cover the merged trace stream, not just metrics. The partition width
 // comes from the run.
 func reducedPartitionedRunner(run *Run) (*Result, error) {
-	return runAramcoPartitionedMix(run, run.Seed, 240, 6, run.partitions(), 0, false, users.MixNone, false)
+	return runAramco(run, run.Seed, 240, 6, run.partitions(), 0, false, users.MixNone, false)
 }
 
 // TestPartitionWorkerByteIdentity is the §14 acceptance gate: the
@@ -58,6 +61,88 @@ func TestPartitionWorkerByteIdentity(t *testing.T) {
 		res.attachProvenance()
 		if got := resultBytes(t, res); !bytes.Equal(got, want) {
 			t.Fatalf("workers=%d produced different bytes than workers=1", w)
+		}
+	}
+}
+
+// TestPartitionOneSiteMatchesSingleKernel is the equivalence that lets
+// the one-site fleet stand in for the single-kernel C7 (DESIGN.md §14):
+// BuildAramcoFleet with Sites: 1 and a hand-built world — the site's
+// forked seed, LAN name and subnet on one kernel advanced by plain
+// RunUntil — produce the same obs snapshot, trace records, per-host
+// event logs and Shamoon counters, silent and populated alike. With one
+// shard the epoch loop only splits RunUntil into windows.
+func TestPartitionOneSiteMatchesSingleKernel(t *testing.T) {
+	const seed, hosts = 5, 300
+	start := shamoon.AramcoTrigger.Add(-24 * time.Hour)
+	end := shamoon.AramcoTrigger.Add(2 * time.Hour)
+	site := AramcoOptions{DocsPerHost: 2, SpreadEvery: 2 * time.Hour, LeanImages: true}
+
+	type observed struct {
+		obs, trace []byte
+		logs       [][]host.LogEntry
+		stats      shamoon.Stats
+	}
+	observe := func(sc *AramcoScenario) observed {
+		snap, err := json.Marshal(sc.World.K.Metrics().Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var trace bytes.Buffer
+		if err := sc.World.K.Trace().WriteJSONL(&trace); err != nil {
+			t.Fatal(err)
+		}
+		o := observed{obs: snap, trace: trace.Bytes(), stats: sc.Shamoon.Stats}
+		for _, h := range sc.Hosts {
+			o.logs = append(o.logs, h.EventLog())
+		}
+		return o
+	}
+
+	for _, mix := range []users.Mix{users.MixNone, users.MixOffice} {
+		f, err := BuildAramcoFleet(seed, AramcoFleetOptions{
+			Workstations: hosts, Sites: 1, Activity: mix,
+			DocsPerHost: site.DocsPerHost, SpreadEvery: site.SpreadEvery, LeanImages: site.LeanImages,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.RunUntil(end); err != nil {
+			t.Fatal(err)
+		}
+		fleet := observe(f.Sites[0])
+
+		w, err := NewWorld(WorldConfig{Seed: sim.NewRNG(seed).ForkAt(0).State(), Start: start})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := site
+		opts.Workstations, opts.Activity = hosts, mix
+		opts.LANName, opts.Subnet = "aramco-site-01", "10.30.0"
+		sc, err := BuildAramco(w, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.K.RunUntil(end); err != nil {
+			t.Fatal(err)
+		}
+		single := observe(sc)
+
+		if single.stats.WipedHosts != hosts || len(single.trace) == 0 {
+			t.Fatalf("mix %q: single-kernel run wiped %d/%d hosts with %d trace bytes; the comparison would be vacuous",
+				mix, single.stats.WipedHosts, hosts, len(single.trace))
+		}
+		if !bytes.Equal(fleet.obs, single.obs) {
+			t.Errorf("mix %q: obs snapshots differ", mix)
+		}
+		if !bytes.Equal(fleet.trace, single.trace) {
+			t.Errorf("mix %q: trace records differ", mix)
+		}
+		if !reflect.DeepEqual(fleet.logs, single.logs) {
+			t.Errorf("mix %q: host event logs differ", mix)
+		}
+		if fleet.stats != single.stats {
+			t.Errorf("mix %q: shamoon stats differ: %+v vs %+v", mix, fleet.stats, single.stats)
 		}
 	}
 }

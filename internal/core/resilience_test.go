@@ -200,18 +200,25 @@ func TestWorldMixedCampaigns(t *testing.T) {
 	}
 }
 
-// TestAramcoScaleSweep: the fleet mechanics are size-invariant.
+// TestAramcoScaleSweep: the fleet mechanics are size-invariant on both
+// layouts — one site and the registry's six. Fleet 1 exercises the
+// Sites > Workstations clamp, fleet 7 the uneven split.
 func TestAramcoScaleSweep(t *testing.T) {
-	for _, fleet := range []int{10, 100, 500} {
-		res, err := runAramcoScale(3, fleet)
-		if err != nil {
-			t.Fatalf("fleet %d: %v", fleet, err)
-		}
-		if !res.Pass {
-			t.Fatalf("fleet %d did not reproduce:\n%s", fleet, res.Render())
-		}
-		if res.MustMetric("wiped_unbootable") != float64(fleet) {
-			t.Fatalf("fleet %d: wiped = %v", fleet, res.MustMetric("wiped_unbootable"))
+	for _, sites := range []int{1, aramcoSiteCount} {
+		for _, fleet := range []int{1, 7, 10, 100, 500} {
+			res, err := RunAramcoPartitionedN(3, fleet, sites, 0, 0, false)
+			if err != nil {
+				t.Fatalf("sites %d fleet %d: %v", sites, fleet, err)
+			}
+			if !res.Pass {
+				t.Fatalf("sites %d fleet %d did not reproduce:\n%s", sites, fleet, res.Render())
+			}
+			if res.MustMetric("wiped_unbootable") != float64(fleet) {
+				t.Fatalf("sites %d fleet %d: wiped = %v", sites, fleet, res.MustMetric("wiped_unbootable"))
+			}
+			if want := float64(min(sites, fleet)); res.MustMetric("sites") != want {
+				t.Fatalf("sites %d fleet %d: built %v sites, want %v", sites, fleet, res.MustMetric("sites"), want)
+			}
 		}
 	}
 }
