@@ -31,6 +31,15 @@ go test -timeout 900s ./...
 go test -race -timeout 300s -run 'Parallel|Sweep|RaceLane' ./internal/core
 go test -race -timeout 300s ./internal/sim ./internal/netsim ./internal/cnc ./internal/faults
 
+# Trust-store race lane (DESIGN.md §9): every clone of a world's base
+# store shares one signature memo, and the hosts of a partitioned world
+# load drivers through those clones from several shard goroutines at once.
+go test -race -timeout 300s ./internal/pki ./internal/host
+
+# Fuzz lane: mutated signed driver images must get the same verdict and
+# error from a warm shared-memo store as from a fresh one, and never panic.
+go test -timeout 300s -run '^$' -fuzz FuzzVerifyImage -fuzztime 10s ./internal/pki
+
 # Detect lane: the streaming engine subscribes to the live trace from
 # inside experiment worlds, so it and the CNI campaign run under -race
 # alongside the substrate they hook. The user-activity layer feeds both
@@ -67,6 +76,9 @@ go test -race -timeout 300s -run 'Partition' ./internal/sim ./internal/netsim ./
 # benchmark that rots (or an accidental per-event allocation regression
 # caught by its companion test) fails CI rather than bitrotting.
 go test -timeout 300s -bench=. -benchtime=1x -run '^$' ./internal/obs ./internal/provenance ./internal/faults
+# The trust-store trio: a chain verified cold (fresh memo per iteration)
+# and warm, and one signed driver loaded through many cloned stores.
+go test -timeout 300s -run '^$' -bench 'VerifyChain|LoadDriver' -benchtime=1x -benchmem ./internal/pki ./internal/host
 
 # Fleet-perf lane (DESIGN.md §9): run the seed / event / C7 benchmarks
 # with -benchmem, fold them into BENCH_C7.json's "after" snapshot via

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/host"
 	"repro/internal/malware/shamoon"
+	"repro/internal/pe"
+	"repro/internal/pki"
 )
 
 // TestExperimentRegistryComplete checks the index matches DESIGN.md.
@@ -204,11 +207,33 @@ func TestWorldAdvisoryAffectsAllHosts(t *testing.T) {
 	lan := w.NewLAN("l", "10.0.0", false)
 	h1 := w.AddHost(lan, "H1")
 	h2 := w.AddHost(lan, "H2")
+	// A forged update every host accepts warms the signature memo the
+	// host stores share; the advisory must still reject it on every host.
+	if err := w.ForgeUpdateCert(); err != nil {
+		t.Fatalf("ForgeUpdateCert: %v", err)
+	}
+	fake := &pe.File{Name: "WuSetupV.exe", Machine: pe.MachineX86, Timestamp: w.K.Now(),
+		Sections: []pe.Section{{Name: ".text", Data: []byte("installer")}}}
+	if err := pki.SignImage(fake, w.PKI.AttackerKey, w.PKI.ForgedChain()...); err != nil {
+		t.Fatalf("SignImage: %v", err)
+	}
+	hosts := []*host.Host{h1, h2}
+	for _, h := range hosts {
+		if _, err := pki.VerifyImage(fake, h.CertStore, w.K.Now(), pki.UsageCodeSign); err != nil {
+			t.Fatalf("%s rejected the forged update before the advisory: %v", h.Name, err)
+		}
+	}
 	w.IssueAdvisory()
-	for _, h := range []*host.Host{h1, h2} {
+	for _, h := range hosts {
 		if !h.CertStore.IsDistrusted(w.PKI.Licensing.Cert.Serial) {
 			t.Fatalf("%s store not updated", h.Name)
 		}
+		if _, err := pki.VerifyImage(fake, h.CertStore, w.K.Now(), pki.UsageCodeSign); !errors.Is(err, pki.ErrDistrusted) {
+			t.Fatalf("%s after the advisory: err = %v, want ErrDistrusted", h.Name, err)
+		}
+	}
+	if w.PKI.BaseStore.IsDistrusted(w.PKI.Licensing.Cert.Serial) {
+		t.Fatal("the advisory reached the world's base store")
 	}
 	if w.Host("H1") != h1 || w.Host("GHOST") != nil {
 		t.Fatal("World.Host lookup broken")

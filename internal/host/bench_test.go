@@ -3,6 +3,8 @@ package host
 import (
 	"testing"
 
+	"repro/internal/pe"
+	"repro/internal/pki"
 	"repro/internal/sim"
 )
 
@@ -48,4 +50,28 @@ func BenchmarkCheckWipeLazy(b *testing.B) {
 		}
 		return true
 	})
+}
+
+// BenchmarkLoadDriver loads one signed raw-disk driver through a fresh
+// clone of one base store per iteration, as every host of a fleet does:
+// the clones share the base store's signature memo.
+func BenchmarkLoadDriver(b *testing.B) {
+	base, key, cert := driverPKI(b)
+	drv := testImage("drdisk.sys")
+	drv.Sections = append(drv.Sections, pe.Section{Name: CapSectionName, Data: []byte("rawdisk")})
+	if err := pki.SignImage(drv, key, cert); err != nil {
+		b.Fatal(err)
+	}
+	k := testKernel()
+	k.Trace().SetMuted(true)
+	h := New(k, "WS-001")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.CertStore = base.Clone()
+		h.eventLog = h.eventLog[:0]
+		if _, err := h.LoadDriver(drv); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -176,7 +176,7 @@ func TestPatchGate(t *testing.T) {
 	}
 }
 
-func driverPKI(t *testing.T) (*pki.Store, *pki.Keypair, *pki.Certificate) {
+func driverPKI(t testing.TB) (*pki.Store, *pki.Keypair, *pki.Certificate) {
 	t.Helper()
 	var s [32]byte
 	s[0] = 42

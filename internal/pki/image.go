@@ -59,7 +59,7 @@ func VerifyImage(img *pe.File, store *Store, now time.Time, usage KeyUsage) (*Im
 	if err != nil {
 		return nil, err
 	}
-	if !ed25519.Verify(sig.Chain[0].PubKey, digest[:], sig.Signature) {
+	if !store.memo.verify(sig.Chain[0].PubKey, digest[:], sig.Signature) {
 		return nil, fmt.Errorf("%w: image digest", ErrBadSignature)
 	}
 	return sig, nil

@@ -171,10 +171,30 @@ func TestDistrustKillsChain(t *testing.T) {
 func TestStoreCloneIsIndependent(t *testing.T) {
 	root := testRoot(t, "SimRoot CA", HashStrong)
 	a := NewStore(root.Cert)
-	b := a.Clone()
+	b, sibling := a.Clone(), a.Clone()
+
+	other := testRoot2(t, "Other CA")
+	other.Cert.Serial = root.Cert.Serial + 1
+	other.Cert.Signature = other.Key.Sign(other.Cert.Digest())
+	a.AddRoot(other.Cert)
+	if err := a.VerifyChain(testNow, UsageCA, other.Cert); err != nil {
+		t.Fatalf("AddRoot on original: %v", err)
+	}
+	for _, c := range []*Store{b, sibling} {
+		if err := c.VerifyChain(testNow, UsageCA, other.Cert); !errors.Is(err, ErrUntrustedRoot) {
+			t.Fatalf("root added to the original after Clone: err = %v, want ErrUntrustedRoot", err)
+		}
+	}
+
 	b.Distrust(root.Cert.Serial, "test")
 	if a.IsDistrusted(root.Cert.Serial) {
 		t.Fatal("Distrust on clone leaked into original")
+	}
+	if sibling.IsDistrusted(root.Cert.Serial) {
+		t.Fatal("Distrust on clone leaked into a sibling clone")
+	}
+	if !b.IsDistrusted(root.Cert.Serial) {
+		t.Fatal("Distrust did not reach the clone it was applied to")
 	}
 }
 
