@@ -39,6 +39,10 @@ go test -race -timeout 300s ./internal/pki ./internal/host
 # Fuzz lane: mutated signed driver images must get the same verdict and
 # error from a warm shared-memo store as from a fresh one, and never panic.
 go test -timeout 300s -run '^$' -fuzz FuzzVerifyImage -fuzztime 10s ./internal/pki
+# Mutated trace-export lines must never panic the JSONL parser, and any
+# line it accepts must re-encode byte-stably. The minimize bound keeps a
+# slow shrink from eating the lane's whole time budget.
+go test -timeout 300s -run '^$' -fuzz FuzzParseJSONL -fuzztime 10s -fuzzminimizetime 2s ./internal/obs
 
 # Detect lane: the streaming engine subscribes to the live trace from
 # inside experiment worlds, so it and the CNI campaign run under -race
@@ -59,16 +63,16 @@ go test -race -timeout 300s -run 'Runstats' ./internal/core
 # cancellation, and journal writer all cross goroutines by construction
 # (a batch's sweeper cancelling a worker's kernels, a cancelled context
 # racing in-flight experiments, two run configurations in one process),
-# so every cancellation, stall, deadline, retry, journal, checkpoint and
-# run-context test runs under -race, in the substrate and at the CLI.
-go test -race -timeout 300s -run 'Cancel|Stall|Watchdog|Deadline|Shutdown|Retry|Journal|Checkpoint|Fork|Supervision|RunContext|SeedsRefuses' \
+# so every cancellation, stall, deadline, journal and run-context test
+# runs under -race, in the substrate and at the CLI.
+go test -race -timeout 300s -run 'Cancel|Stall|Watchdog|Deadline|Shutdown|Journal|Supervision|RunContext' \
     ./internal/sim ./internal/core ./cmd/cyberlab
 
 # Partition race lane (DESIGN.md §14): the epoch-barrier worker pool,
 # the cross-partition mailboxes, and the cancel fan-out across shard
 # kernels all cross goroutines by construction, so every partition test
 # — mailbox ordering, worker-count byte identity, deadline fan-out, and
-# the compose-with-parallel/journal/checkpoint properties — runs under
+# the compose-with-parallel/journal properties — runs under
 # -race in the kernel, the network substrate, and the experiment layer.
 go test -race -timeout 300s -run 'Partition' ./internal/sim ./internal/netsim ./internal/core
 

@@ -18,10 +18,8 @@
 //	cyberlab -report [-o EXPERIMENTS.md]
 //	cyberlab -rules
 //	cyberlab -run C7 -progress
-//	cyberlab -all -journal run.journal [-stall 30s] [-deadline 10m] [-max-retries 1]
+//	cyberlab -all -journal run.journal [-stall 30s] [-deadline 10m]
 //	cyberlab -all -journal run.journal -resume
-//	cyberlab checkpoint -run C1 -at 30m [-seed 7] [-o c1.checkpoint]
-//	cyberlab fork -from c1.checkpoint [-trace tail.jsonl]
 //	cyberlab profile -run C7 [-progress] [-o manifest.json]
 //	cyberlab trace -in t.jsonl [-cat X] [-actor Y] [-tag k=v] [-chain F1/s3] [-dot out.dot]
 //	cyberlab detect -in t.jsonl [-o alerts.jsonl]
@@ -47,10 +45,10 @@
 // the C7 Aramco fleet, sharded across six sites). The site layout is
 // scenario state, the worker count is not: reports, traces, metrics,
 // provenance and alerts are byte-identical at -partitions 1, 2, 4 or 8
-// (0 = all cores), and the flag composes with -parallel, -journal,
-// -resume and checkpoint/fork — a run journaled at one width resumes at
-// any other. Per-experiment wall-clock timings go to stderr so the report
-// itself stays deterministic. -seeds switches to a Monte Carlo sweep that
+// (0 = all cores), and the flag composes with -parallel, -journal and
+// -resume — a run journaled at one width resumes at any other.
+// Per-experiment wall-clock timings go to stderr so the report itself
+// stays deterministic. -seeds switches to a Monte Carlo sweep that
 // aggregates per-metric min/mean/max across seeds. -trace writes the
 // experiments' retained event records as JSONL (one object per line, each
 // tagged exp=<ID>); -metrics writes the merged obs snapshot as JSON.
@@ -89,22 +87,16 @@
 // aborts any experiment whose virtual clock freezes while events keep
 // executing; -deadline bounds each experiment's wall clock. Aborted
 // experiments are reported partial with a diagnostic (queue depth, last
-// handler, open spans) and never contaminate sibling outputs.
-// -max-retries re-runs deterministic failures; a retry that produces
-// different bytes is flagged as a determinism violation, never silently
-// accepted. -journal appends each completed experiment to a crash-safe
-// JSONL file (content-hashed, fsync'd per record); -resume verifies the
-// journal — tolerating a torn final line from a mid-write kill — and
-// serves journaled experiments without re-running them, byte-identical
-// at any -parallel width. SIGINT/SIGTERM trigger a graceful shutdown:
-// in-flight experiments stop at their next step boundary, outputs and
-// the journal flush, and the run exits with a RUN PARTIAL banner.
-//
-// The checkpoint subcommand freezes a replay checkpoint — the
-// (experiment, seed, faults, activity) tuple, a virtual-time boundary,
-// and a hash of the trace prefix — and fork restores one by
-// deterministic re-execution, refusing on prefix-hash drift and muting
-// the verified prefix out of the restored artefacts.
+// handler, open spans) and never contaminate sibling outputs. -journal
+// appends each completed experiment to a crash-safe JSONL file
+// (content-hashed, fsync'd per record); -resume verifies the journal —
+// tolerating a torn final line from a mid-write kill — and serves
+// journaled experiments without re-running them, byte-identical at any
+// -parallel width. The journal is the one recovery path: a run's tail
+// past a virtual time T is its -trace export filtered on "t" > T.
+// SIGINT/SIGTERM trigger a graceful shutdown: in-flight experiments stop
+// at their next step boundary, outputs and the journal flush, and the
+// run exits with a RUN PARTIAL banner.
 package main
 
 import (
@@ -129,7 +121,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/provenance"
 	"repro/internal/runstats"
-	"repro/internal/sim"
 	"repro/internal/users"
 )
 
@@ -165,12 +156,6 @@ func run(ctx context.Context, args []string) (err error) {
 	if len(args) > 0 && args[0] == "profile" {
 		return runProfile(ctx, args[1:])
 	}
-	if len(args) > 0 && args[0] == "checkpoint" {
-		return runCheckpoint(ctx, args[1:])
-	}
-	if len(args) > 0 && args[0] == "fork" {
-		return runFork(ctx, args[1:])
-	}
 	fs := flag.NewFlagSet("cyberlab", flag.ContinueOnError)
 	var (
 		list       = fs.Bool("list", false, "list experiment IDs and exit")
@@ -191,15 +176,13 @@ func run(ctx context.Context, args []string) (err error) {
 		resume     = fs.Bool("resume", false, "resume from -journal: serve journaled experiments without re-running them")
 		stall      = fs.Duration("stall", 0, "abort an experiment whose vtime freezes for this wall-clock window (0 = off)")
 		deadline   = fs.Duration("deadline", 0, "abort any experiment exceeding this wall-clock budget (0 = off)")
-		maxRetries = fs.Int("max-retries", 0, "re-run a failed experiment up to N times; a retry must reproduce identical bytes or the run is flagged nondeterministic")
 	)
-	config := configFlags(fs, configHelp{
-		faults:     "adversity profile for the R-series experiments (none, light, takedown, chaos)",
-		activity:   "benign user-activity mix for scenario fleets (none, office, developer, kiosk, enterprise)",
-		partitions: "worker goroutines advancing a partitioned world's site shards (0 = all cores); output bytes are identical at any width",
-	})
+	config := configFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unknown subcommand or argument %q (subcommands: trace, detect, profile)", fs.Arg(0))
 	}
 	opts, err := config()
 	if err != nil {
@@ -208,22 +191,19 @@ func run(ctx context.Context, args []string) (err error) {
 	if *parallel < 1 {
 		return fmt.Errorf("-parallel must be >= 1 (got %d)", *parallel)
 	}
-	if *maxRetries < 0 {
-		return fmt.Errorf("-max-retries must be >= 0 (got %d)", *maxRetries)
-	}
 	if *resume && *journalP == "" {
 		return fmt.Errorf("-resume needs -journal FILE")
 	}
 	if *journalP != "" && *seeds != "" {
 		return fmt.Errorf("-journal records single-seed runs; it cannot capture a -seeds sweep")
 	}
-	if *maxRetries > 0 && *seeds != "" {
-		return fmt.Errorf("-max-retries flags determinism violations per report; a -seeds sweep's aggregate table has nowhere to show one")
+	if *genReport && *seeds != "" {
+		return fmt.Errorf("-report renders one seed's EXPERIMENTS.md; it cannot render a -seeds sweep")
 	}
 	if *stall < 0 || *deadline < 0 {
 		return fmt.Errorf("-stall and -deadline must be >= 0")
 	}
-	opts.Workers, opts.MaxRetries, opts.Stall, opts.Deadline = *parallel, *maxRetries, *stall, *deadline
+	opts.Workers, opts.Stall, opts.Deadline = *parallel, *stall, *deadline
 	// Fail on unwritable output destinations before experiments burn wall
 	// clock, not minutes later at write time.
 	for _, o := range []struct{ flag, path string }{
@@ -439,7 +419,7 @@ func runProfile(ctx context.Context, args []string) error {
 		progress = fs.Bool("progress", false, "also print the live telemetry ticker to stderr")
 		every    = fs.Duration("every", runstats.DefaultProgressPeriod, "progress ticker period")
 	)
-	config := configFlags(fs, subcommandHelp)
+	config := configFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -552,137 +532,20 @@ func runDetect(args []string) error {
 	return nil
 }
 
-// runCheckpoint implements `cyberlab checkpoint`: run one experiment to
-// completion and freeze a replay checkpoint — the configuration tuple, a
-// virtual-time boundary, and a content hash of the trace prefix up to it
-// (DESIGN.md §13). The checkpoint JSON goes to stdout or -o.
-func runCheckpoint(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("cyberlab checkpoint", flag.ContinueOnError)
-	var (
-		id   = fs.String("run", "", "experiment ID to checkpoint (required)")
-		seed = fs.Uint64("seed", 1, "deterministic simulation seed")
-		at   = fs.Duration("at", 0, "checkpoint boundary as virtual time past the simulation epoch (required, e.g. 30m)")
-		out  = fs.String("o", "", "write the checkpoint JSON to this file (default stdout)")
-	)
-	config := configFlags(fs, subcommandHelp)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *id == "" {
-		return fmt.Errorf("checkpoint: -run ID is required")
-	}
-	if core.Experiments[*id] == nil {
-		return fmt.Errorf("checkpoint: unknown experiment %q (try -list)", *id)
-	}
-	if *at <= 0 {
-		return fmt.Errorf("checkpoint: -at DURATION (virtual time past the epoch) is required")
-	}
-	opts, err := config()
-	if err != nil {
-		return err
-	}
-	if err := validateOutPath("-o", *out); err != nil {
-		return err
-	}
-	cp, err := core.CaptureCheckpoint(ctx, *id, *seed, sim.Epoch.Add(*at), opts)
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if *out == "" || *out == "-" {
-		if err := core.WriteCheckpoint(os.Stdout, cp); err != nil {
-			return err
-		}
-	} else {
-		var buf bytes.Buffer
-		if err := core.WriteCheckpoint(&buf, cp); err != nil {
-			return fmt.Errorf("checkpoint: render: %w", err)
-		}
-		if err := os.WriteFile(*out, buf.Bytes(), 0o644); err != nil {
-			return fmt.Errorf("checkpoint: write: %w", err)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "checkpoint %s seed %d at %s: %d of %d events in the verified prefix\n",
-		cp.Experiment, cp.Seed, cp.VTime.Format(time.RFC3339), cp.PrefixLen, cp.TotalLen)
-	return nil
-}
-
-// runFork implements `cyberlab fork`: restore a checkpoint by
-// deterministic re-execution under the captured configuration, verify
-// the replayed prefix hash, and render only the tail past the boundary.
-func runFork(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("cyberlab fork", flag.ContinueOnError)
-	var (
-		from     = fs.String("from", "", "checkpoint file to restore (required)")
-		traceOut = fs.String("trace", "", "write the tail trace events (past the checkpoint) to this file as JSONL")
-	)
-	config := configFlags(fs, configHelp{
-		partitions: "worker goroutines advancing a partitioned world's site shards (0 = all cores); the replay verifies against the checkpoint at any width",
-	})
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *from == "" {
-		return fmt.Errorf("fork: -from FILE is required")
-	}
-	opts, err := config()
-	if err != nil {
-		return err
-	}
-	if err := validateOutPath("-trace", *traceOut); err != nil {
-		return err
-	}
-	cp, err := core.ReadCheckpoint(*from)
-	if err != nil {
-		return fmt.Errorf("fork: %w", err)
-	}
-	fr, err := core.Fork(ctx, cp, opts.Partitions)
-	if err != nil {
-		return fmt.Errorf("fork: %w", err)
-	}
-	fmt.Printf("%s\n", fr.Result.Render())
-	if *traceOut != "" {
-		var buf bytes.Buffer
-		if err := obs.WriteJSONL(&buf, fr.Result.Events); err != nil {
-			return fmt.Errorf("fork: render trace: %w", err)
-		}
-		if err := os.WriteFile(*traceOut, buf.Bytes(), 0o644); err != nil {
-			return fmt.Errorf("fork: write trace: %w", err)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "fork %s seed %d: prefix of %d events verified at %s, %d tail events restored\n",
-		cp.Experiment, cp.Seed, cp.PrefixLen, cp.VTime.Format(time.RFC3339), fr.TailEvents)
-	return nil
-}
-
-// configHelp is one mode's help text for the run-configuration flags. A
-// mode with no faults text registers neither -faults nor -activity: fork
-// replays the checkpoint's fault profile and activity mix.
-type configHelp struct{ faults, activity, partitions string }
-
-// subcommandHelp is the help text profile and checkpoint share.
-var subcommandHelp = configHelp{
-	faults:     "adversity profile for the R-series experiments",
-	activity:   "benign user-activity mix for scenario fleets",
-	partitions: "worker goroutines advancing a partitioned world's site shards (0 = all cores)",
-}
-
 // configFlags registers the run-configuration flags on fs and returns a
 // func that validates their parsed values into the RunOptions fields they
 // set. -partitions 0 resolves to all cores.
-func configFlags(fs *flag.FlagSet, help configHelp) func() (core.RunOptions, error) {
-	var faultsName, activity string
-	if help.faults != "" {
-		fs.StringVar(&faultsName, "faults", "", help.faults)
-		fs.StringVar(&activity, "activity", "", help.activity)
-	}
-	partitions := fs.Int("partitions", 1, help.partitions)
+func configFlags(fs *flag.FlagSet) func() (core.RunOptions, error) {
+	faultsName := fs.String("faults", "", "adversity profile for the R-series experiments (none, light, takedown, chaos)")
+	activity := fs.String("activity", "", "benign user-activity mix for scenario fleets (none, office, developer, kiosk, enterprise)")
+	partitions := fs.Int("partitions", 1, "worker goroutines advancing a partitioned world's site shards (0 = all cores); output bytes are identical at any width")
 	return func() (core.RunOptions, error) {
-		opt := core.RunOptions{Faults: faultsName, Activity: users.Mix(activity), Partitions: *partitions}
-		if _, err := faults.Lookup(faultsName); err != nil {
+		opt := core.RunOptions{Faults: *faultsName, Activity: users.Mix(*activity), Partitions: *partitions}
+		if _, err := faults.Lookup(*faultsName); err != nil {
 			return opt, err
 		}
-		if activity != "" {
-			if _, err := users.ParseMix(activity); err != nil {
+		if *activity != "" {
+			if _, err := users.ParseMix(*activity); err != nil {
 				return opt, err
 			}
 		}
@@ -778,8 +641,6 @@ func reportErr(reports []core.RunReport) error {
 		switch {
 		case rep.Skipped:
 			bad = append(bad, rep.ID+" (skipped)")
-		case rep.Violation:
-			bad = append(bad, rep.ID+" (nondeterministic)")
 		case rep.Partial:
 			bad = append(bad, rep.ID+" (aborted)")
 		case rep.Err != nil:

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"strings"
 	"testing"
 )
 
@@ -91,5 +92,18 @@ func TestNoModeIsError(t *testing.T) {
 func TestBadFlag(t *testing.T) {
 	if err := run(context.Background(), []string{"-bogus"}); err == nil {
 		t.Fatal("bad flag accepted")
+	}
+}
+
+// TestStrayArgumentRefused: a positional argument that names no
+// subcommand is refused by name instead of being silently ignored.
+func TestStrayArgumentRefused(t *testing.T) {
+	for stray, args := range map[string][]string{
+		"checkpoint": {"checkpoint", "-run", "C1", "-at", "12h"},
+		"extra":      {"-run", "F3", "extra"},
+	} {
+		if err := run(context.Background(), args); err == nil || !strings.Contains(err.Error(), `"`+stray+`"`) {
+			t.Fatalf("run(%q) = %v, want a refusal naming %q", args, err, stray)
+		}
 	}
 }

@@ -37,8 +37,15 @@ func TestRunJournalFlagValidation(t *testing.T) {
 	if err := run(context.Background(), []string{"-list", "-journal", "x.journal"}); err == nil {
 		t.Fatal("-journal without a run accepted")
 	}
-	if err := run(context.Background(), []string{"-run", "F3", "-max-retries", "-1"}); err == nil {
-		t.Fatal("negative -max-retries accepted")
+	// -report renders one seed's EXPERIMENTS.md; with -seeds it must be
+	// refused up front, not silently replaced by a sweep table.
+	out := filepath.Join(t.TempDir(), "EXPERIMENTS.md")
+	if err := run(context.Background(), []string{"-report", "-seeds", "1..2", "-o", out}); err == nil ||
+		!strings.Contains(err.Error(), "-report") || !strings.Contains(err.Error(), "-seeds") {
+		t.Fatalf("-report with -seeds = %v, want a refusal naming both flags", err)
+	}
+	if _, err := os.Stat(out); err == nil {
+		t.Fatal("-report -seeds wrote the report file")
 	}
 	if err := run(context.Background(), []string{"-run", "F3", "-stall", "-1s"}); err == nil {
 		t.Fatal("negative -stall accepted")
@@ -67,57 +74,6 @@ func TestRunFailureSummaryNamesIDs(t *testing.T) {
 	err = run(context.Background(), []string{"-run", "X1,F3", "-stall", "100ms"})
 	if err == nil || !strings.Contains(err.Error(), "X1 (aborted)") {
 		t.Fatalf("supervised failure summary = %v, want X1 (aborted)", err)
-	}
-}
-
-// TestCheckpointForkCLI round-trips a checkpoint through the two
-// subcommands: capture to a file, then fork from it.
-func TestCheckpointForkCLI(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "c1.checkpoint")
-	if err := run(context.Background(), []string{"checkpoint", "-run", "C1", "-at", "12h", "-o", path}); err != nil {
-		t.Fatalf("checkpoint: %v", err)
-	}
-	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
-		t.Fatalf("checkpoint file missing or empty: %v", err)
-	}
-	tail := filepath.Join(dir, "tail.jsonl")
-	if err := run(context.Background(), []string{"fork", "-from", path, "-trace", tail}); err != nil {
-		t.Fatalf("fork: %v", err)
-	}
-	if _, err := os.Stat(tail); err != nil {
-		t.Fatalf("fork tail trace missing: %v", err)
-	}
-}
-
-func TestCheckpointFlagValidation(t *testing.T) {
-	if err := run(context.Background(), []string{"checkpoint", "-run", "C1"}); err == nil {
-		t.Fatal("checkpoint without -at accepted")
-	}
-	if err := run(context.Background(), []string{"checkpoint", "-at", "1h"}); err == nil {
-		t.Fatal("checkpoint without -run accepted")
-	}
-	if err := run(context.Background(), []string{"checkpoint", "-run", "ZZ", "-at", "1h"}); err == nil {
-		t.Fatal("checkpoint of unknown experiment accepted")
-	}
-	if err := run(context.Background(), []string{"fork"}); err == nil {
-		t.Fatal("fork without -from accepted")
-	}
-	if err := run(context.Background(), []string{"fork", "-from", filepath.Join(t.TempDir(), "missing")}); err == nil {
-		t.Fatal("fork from a missing file accepted")
-	}
-}
-
-// TestSeedsRefusesMaxRetries: a sweep's aggregate table has nowhere to
-// report a determinism violation, so -max-retries with -seeds is refused
-// up front like -journal, instead of being silently ignored.
-func TestSeedsRefusesMaxRetries(t *testing.T) {
-	err := run(context.Background(), []string{"-run", "F3", "-seeds", "1..2", "-max-retries", "1"})
-	if err == nil || !strings.Contains(err.Error(), "-max-retries") || !strings.Contains(err.Error(), "-seeds") {
-		t.Fatalf("-max-retries with -seeds = %v, want a refusal naming both flags", err)
-	}
-	if err := run(context.Background(), []string{"-run", "F3", "-seeds", "1..2"}); err != nil {
-		t.Fatalf("plain sweep: %v", err)
 	}
 }
 

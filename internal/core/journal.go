@@ -54,16 +54,10 @@ func (c JournalConfig) canonical() JournalConfig {
 	if c.Faults == "" {
 		c.Faults = faults.DefaultProfile
 	}
-	c.Activity = canonicalMix(c.Activity)
-	return c
-}
-
-// canonicalMix names silence one way: "" and "none" both attach no users.
-func canonicalMix(name string) string {
-	if name == string(users.MixNone) {
-		return ""
+	if c.Activity == string(users.MixNone) {
+		c.Activity = ""
 	}
-	return name
+	return c
 }
 
 type journalHeader struct {
@@ -85,10 +79,9 @@ type journalRecord struct {
 	Payload json.RawMessage `json:"payload,omitempty"`
 }
 
-// resultPayload is the journaled (and retry-fingerprinted) encoding of
-// a Result. Every field round-trips losslessly: obs.Snapshot has JSON
-// tags, and the trace events use the obs JSONL codec whose round-trip
-// is property-tested.
+// resultPayload is the journaled encoding of a Result. Every field
+// round-trips losslessly: obs.Snapshot has JSON tags, and the trace
+// events use the obs JSONL codec whose round-trip is property-tested.
 type resultPayload struct {
 	ID      string       `json:"id"`
 	Title   string       `json:"title"`
@@ -307,8 +300,12 @@ func (j *Journal) replayLine(line []byte, lineNo int) (fatal error, damaged bool
 	}
 }
 
-// Lookup returns the journaled outcome for (id, seed), if any.
+// Lookup returns the journaled outcome for (id, seed), if any. A nil
+// journal serves nothing.
 func (j *Journal) Lookup(id string, seed uint64) (RunReport, bool) {
+	if j == nil {
+		return RunReport{}, false
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	rep, ok := j.replayed[journalKey(id, seed)]
@@ -320,11 +317,11 @@ func (j *Journal) Lookup(id string, seed uint64) (RunReport, bool) {
 
 // Record journals one completed outcome: full result payload on
 // success, error text on deterministic failure. Incomplete outcomes —
-// skipped, aborted-partial, or determinism-violating reports — are
-// deliberately not journaled, so a resume re-runs them. Write errors
-// are sticky and surface from Close, never corrupting the report.
+// skipped or aborted-partial reports — are deliberately not journaled,
+// so a resume re-runs them. Write errors are sticky and surface from
+// Close, never corrupting the report. A nil journal records nothing.
 func (j *Journal) Record(rep RunReport) {
-	if rep.Skipped || rep.Partial || rep.Violation || rep.FromJournal {
+	if j == nil || rep.Skipped || rep.Partial || rep.FromJournal {
 		return
 	}
 	rec := journalRecord{

@@ -110,6 +110,77 @@ func fileSize(t *testing.T, path string) int64 {
 	return fi.Size()
 }
 
+// TestJournalEveryPrefixResumes is the crash model of the journal: every
+// record is fsync'd before the next begins, so a crash leaves some byte
+// prefix of the file on disk. Every such prefix must resume, serve
+// exactly the records whose newline lies inside it (byte-identical to
+// the run that wrote them), and leave the file truncated to the last
+// whole line.
+func TestJournalEveryPrefixResumes(t *testing.T) {
+	ids := []string{"F3", "C1"}
+	cfg := testJournalConfig(1)
+	dir := t.TempDir()
+	src := filepath.Join(dir, "full.journal")
+	j, err := OpenJournal(src, false, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports := RunExperimentsOpts(context.Background(), ids, 1, RunOptions{Workers: 1, Journal: j})
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]byte{}
+	for _, rep := range reports {
+		want[rep.ID] = payloadBytes(t, rep)
+	}
+	full, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(full, []byte("\n"))
+	if len(lines) != len(ids)+2 || len(lines[len(lines)-1]) != 0 {
+		t.Fatalf("journal has %d lines, want a header, %d records and a final newline", len(lines), len(ids))
+	}
+	header := len(lines[0])
+	// ends[i] is the offset just past record i's newline.
+	ends := make([]int, len(ids))
+	off := header
+	for i := range ids {
+		off += len(lines[i+1])
+		ends[i] = off
+	}
+
+	path := filepath.Join(dir, "cut.journal")
+	for n := 0; n <= len(full); n++ {
+		if err := os.WriteFile(path, full[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := OpenJournal(path, true, cfg)
+		if err != nil {
+			t.Fatalf("prefix %d/%d: resume refused: %v", n, len(full), err)
+		}
+		keep := header
+		for i, id := range ids {
+			rep, ok := j.Lookup(id, 1)
+			if whole := ends[i] <= n; ok != whole {
+				t.Fatalf("prefix %d/%d: %s served=%v, want %v", n, len(full), id, ok, whole)
+			}
+			if ok {
+				keep = ends[i]
+				if !bytes.Equal(payloadBytes(t, rep), want[id]) {
+					t.Fatalf("prefix %d/%d: served %s differs from the run that journaled it", n, len(full), id)
+				}
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatalf("prefix %d/%d: close: %v", n, len(full), err)
+		}
+		if got := fileSize(t, path); got != int64(keep) {
+			t.Fatalf("prefix %d/%d: resumed file is %d bytes, want the %d-byte whole-line prefix", n, len(full), got, keep)
+		}
+	}
+}
+
 // TestJournalRequiresResumeFlag: running a fresh sweep onto an existing
 // journal must be refused — it would silently skip its experiments.
 func TestJournalRequiresResumeFlag(t *testing.T) {
@@ -223,9 +294,9 @@ func TestJournalCorruptionRefused(t *testing.T) {
 	}
 }
 
-// TestJournalSkipsIncompleteOutcomes: partial, skipped and
-// determinism-violating reports never enter the journal — a resume must
-// re-run them.
+// TestJournalSkipsIncompleteOutcomes: partial and skipped reports never
+// enter the journal — a resume must re-run them — and a report the
+// journal itself served is not appended a second time.
 func TestJournalSkipsIncompleteOutcomes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.journal")
 	cfg := testJournalConfig(1)
@@ -235,7 +306,7 @@ func TestJournalSkipsIncompleteOutcomes(t *testing.T) {
 	}
 	j.Record(RunReport{ID: "F1", Seed: 1, Partial: true, Err: os.ErrDeadlineExceeded})
 	j.Record(RunReport{ID: "F2", Seed: 1, Skipped: true, Err: os.ErrDeadlineExceeded})
-	j.Record(RunReport{ID: "F4", Seed: 1, Violation: true, Result: &Result{ID: "F4"}})
+	j.Record(RunReport{ID: "F4", Seed: 1, FromJournal: true, Result: &Result{ID: "F4"}})
 	if j.Recorded() != 0 {
 		t.Fatalf("journal recorded %d incomplete outcomes, want 0", j.Recorded())
 	}

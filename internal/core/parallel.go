@@ -2,11 +2,8 @@ package core
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"time"
@@ -43,15 +40,8 @@ type RunReport struct {
 	// context was already cancelled when a worker picked it up.
 	Skipped bool
 	// FromJournal marks a report replayed from a resume journal instead
-	// of executed (Attempts is 0 for such reports).
+	// of executed.
 	FromJournal bool
-	// Attempts counts executions, >1 only under -max-retries.
-	Attempts int
-	// Violation flags a determinism violation: a retry of this experiment
-	// produced different outcome bytes than the first attempt. The
-	// latest attempt's outcome is kept, but the run must not be trusted
-	// (and is never journaled).
-	Violation bool
 }
 
 // runPool executes run(0..n-1) across at most workers goroutines.
@@ -161,39 +151,13 @@ func poolLeaks(run *Run) string {
 	return fmt.Sprintf("event pool leaked %d events across %d kernels", leaked, bad)
 }
 
-// outcomeFingerprint hashes everything deterministic about a report —
-// the full result payload on success, the error text on failure — so a
-// retried experiment can be checked for byte-identical reproduction.
-func outcomeFingerprint(rep RunReport) string {
-	h := sha256.New()
-	switch {
-	case rep.Err != nil:
-		io.WriteString(h, "err\x00")
-		io.WriteString(h, rep.Err.Error())
-	case rep.Result != nil:
-		payload, err := encodeResultPayload(rep.Result)
-		if err != nil {
-			io.WriteString(h, "encode-failure\x00")
-			io.WriteString(h, err.Error())
-		} else {
-			h.Write(payload)
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // RunOptions is everything a caller can set about a batch of runs. The
 // zero value is the default configuration: the faults.DefaultProfile
 // adversity schedule, silent fleets, one partition worker, no
-// supervision, no retries, no journal.
+// supervision, no journal.
 type RunOptions struct {
 	// Workers sizes the pool (<=1 is sequential).
 	Workers int
-	// MaxRetries re-runs a failed experiment up to this many extra times.
-	// Because experiments are deterministic, a retry must reproduce the
-	// first attempt's outcome byte for byte; a divergence flags the
-	// report's Violation bit instead of being papered over.
-	MaxRetries int
 	// Journal, when set, serves already-journaled (experiment, seed)
 	// outcomes without re-running them and records fresh completions
 	// (fsync'd per record) for the next resume.
@@ -207,7 +171,7 @@ type RunOptions struct {
 	Activity users.Mix
 	// Partitions is the worker width advancing partitioned worlds (<= 1
 	// is one worker). It never changes output bytes, so unlike Faults
-	// and Activity it is not part of the journal or checkpoint tuple.
+	// and Activity it is not part of the journal's configuration tuple.
 	Partitions int
 
 	// Stall is the vtime-stall watchdog window: an experiment kernel
@@ -222,50 +186,12 @@ type RunOptions struct {
 
 func (o RunOptions) armed() bool { return o.Stall > 0 || o.Deadline > 0 }
 
-// runSupervised wraps runOne with the journal short-circuit and the
-// bounded-retry determinism self-check.
-func (b *batch) runSupervised(id string, seed uint64) RunReport {
-	if b.opt.Journal != nil {
-		if rep, ok := b.opt.Journal.Lookup(id, seed); ok {
-			if c := runstats.Active(); c != nil {
-				c.CountJournalServed()
-			}
-			return rep
-		}
-	}
-	rep := b.runOne(id, seed)
-	rep.Attempts = 1
-	if rep.Err != nil && !rep.Partial && !rep.Skipped && b.opt.MaxRetries > 0 {
-		// Retry is a determinism self-check, not flake laundering: every
-		// attempt must reproduce the first attempt's bytes exactly.
-		first := outcomeFingerprint(rep)
-		for rep.Err != nil && !rep.Partial && !rep.Skipped &&
-			rep.Attempts <= b.opt.MaxRetries && b.ctx.Err() == nil {
-			next := b.runOne(id, seed)
-			next.Attempts = rep.Attempts + 1
-			next.Violation = rep.Violation
-			if c := runstats.Active(); c != nil {
-				c.CountRetry()
-			}
-			if !next.Skipped && !next.Partial && outcomeFingerprint(next) != first {
-				next.Violation = true
-				if c := runstats.Active(); c != nil {
-					c.CountViolation()
-				}
-			}
-			rep = next
-		}
-	}
-	if b.opt.Journal != nil {
-		b.opt.Journal.Record(rep)
-	}
-	return rep
-}
-
 // runBatch executes every (experiment, seed) pair, experiment-major,
 // across one worker pool under opt; each report lands in its fixed slot.
 // Cancelling ctx skips pairs not yet started and aborts in-flight ones
 // with context.Cause(ctx); their reports come back Skipped or Partial.
+// With a journal, already-journaled pairs are served without running and
+// fresh outcomes are recorded for the next resume.
 // dropEvents discards each result's trace as it lands (a sweep only
 // needs aggregates; retaining every seed's trace would hold one ring
 // buffer per pair in memory).
@@ -277,10 +203,20 @@ func runBatch(ctx context.Context, ids []string, seeds []uint64, opt RunOptions,
 	b := startBatch(ctx, opt)
 	defer b.stop()
 	runPool(len(reports), opt.Workers, func(i int) {
-		reports[i] = b.runSupervised(ids[i/len(seeds)], seeds[i%len(seeds)])
-		if res := reports[i].Result; res != nil && dropEvents {
-			res.Events = nil
+		id, seed := ids[i/len(seeds)], seeds[i%len(seeds)]
+		rep, served := opt.Journal.Lookup(id, seed)
+		if served {
+			if c := runstats.Active(); c != nil {
+				c.CountJournalServed()
+			}
+		} else {
+			rep = b.runOne(id, seed)
+			opt.Journal.Record(rep)
 		}
+		if rep.Result != nil && dropEvents {
+			rep.Result.Events = nil
+		}
+		reports[i] = rep
 	})
 	return reports
 }

@@ -219,29 +219,6 @@ func TestPartitionComposesWithJournalResume(t *testing.T) {
 	}
 }
 
-// TestPartitionComposesWithCheckpointFork: a checkpoint captured from a
-// partitioned run forks cleanly — the replay's trace prefix hashes
-// identically — at a different partition width than the capture.
-func TestPartitionComposesWithCheckpointFork(t *testing.T) {
-	registerTempExperiment(t, "ZZ-fleet", reducedPartitionedRunner)
-
-	cp, err := CaptureCheckpoint(context.Background(), "ZZ-fleet", 1, shamoon.AramcoTrigger, RunOptions{Partitions: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.PrefixLen == 0 || cp.PrefixLen == cp.TotalLen {
-		t.Fatalf("checkpoint boundary is degenerate: prefix %d of %d", cp.PrefixLen, cp.TotalLen)
-	}
-
-	fork, err := Fork(context.Background(), cp, 4)
-	if err != nil {
-		t.Fatalf("fork at -partitions 4 of a width-1 checkpoint: %v", err)
-	}
-	if fork.TailEvents != cp.TotalLen-cp.PrefixLen {
-		t.Fatalf("fork tail = %d events, want %d", fork.TailEvents, cp.TotalLen-cp.PrefixLen)
-	}
-}
-
 // TestPartitionDeadlineCancelFanOut: the supervision layer's deadline
 // abort reaches every shard of a partitioned experiment — all six site
 // kernels drain their queues, the pool ledgers balance, and the report

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -163,32 +162,6 @@ func TestShutdownCancelsInFlightAndSkipsQueued(t *testing.T) {
 	}
 	if context.Cause(ctx) == nil {
 		t.Fatal("shutdown cause lost")
-	}
-}
-
-// TestRetryFlagsDeterminismViolation: a retried experiment whose second
-// attempt produces different bytes is a determinism violation, never a
-// silent recovery.
-func TestRetryFlagsDeterminismViolation(t *testing.T) {
-	attempt := 0
-	registerTempExperiment(t, "ZZ-flaky", func(*Run) (*Result, error) {
-		attempt++
-		return nil, fmt.Errorf("flaky failure #%d", attempt)
-	})
-	rep := runOne("ZZ-flaky", 1, RunOptions{MaxRetries: 1})
-	if rep.Attempts != 2 || !rep.Violation {
-		t.Fatalf("flaky report = attempts=%d violation=%v, want 2 attempts flagged", rep.Attempts, rep.Violation)
-	}
-
-	registerTempExperiment(t, "ZZ-stable-fail", func(*Run) (*Result, error) {
-		return nil, errors.New("always the same failure")
-	})
-	rep = runOne("ZZ-stable-fail", 1, RunOptions{MaxRetries: 2})
-	if rep.Attempts != 3 || rep.Violation {
-		t.Fatalf("stable failure = attempts=%d violation=%v, want 3 attempts unflagged", rep.Attempts, rep.Violation)
-	}
-	if rep.Err == nil || !strings.Contains(rep.Err.Error(), "always the same failure") {
-		t.Fatalf("stable failure lost its error: %v", rep.Err)
 	}
 }
 

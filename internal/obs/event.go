@@ -197,7 +197,8 @@ func (jt *jsonTags) UnmarshalJSON(data []byte) error {
 // ParseJSONL decodes a JSONL event stream produced by WriteJSONL. Tags
 // come back in wire order with repeated keys intact, so
 // WriteJSONL → ParseJSONL → WriteJSONL is byte-identical. Blank lines
-// are skipped; a malformed or over-long line fails with its line number.
+// are skipped; a malformed or over-long line, or a timestamp WriteJSONL
+// could not re-encode, fails with its line number.
 func ParseJSONL(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -212,6 +213,12 @@ func ParseJSONL(r io.Reader) ([]Event, error) {
 		var je jsonlEvent
 		if err := json.Unmarshal(line, &je); err != nil {
 			return nil, fmt.Errorf("obs: line %d: %w", lineNo, err)
+		}
+		// AppendJSONL writes t in UTC, and RFC 3339 has four-digit years
+		// only: an offset that carries the instant past them would export
+		// a line no parser reads back.
+		if y := je.T.UTC().Year(); y < 0 || y > 9999 {
+			return nil, fmt.Errorf("obs: line %d: t %s is outside years 0000-9999 in UTC", lineNo, je.T.Format(time.RFC3339Nano))
 		}
 		out = append(out, Event{
 			At: je.T, Seq: je.Seq, Cat: je.Cat, Actor: je.Actor, Msg: je.Msg,

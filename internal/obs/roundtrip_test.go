@@ -135,3 +135,44 @@ func TestJSONLRoundTripProperty(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseJSONL feeds arbitrary bytes to the trace-export parser. It
+// must never panic, and whatever it accepts must settle after one
+// re-encode: parse → WriteJSONL → parse → WriteJSONL is byte-stable.
+func FuzzParseJSONL(f *testing.F) {
+	for _, seed := range []string{
+		`{"t":"2010-06-01T00:00:00Z","seq":1,"cat":"user","actor":"CORP-WS-01","msg":"users.session.start admin","span":1,"tags":{"exp":"D5","vector":"user","profile":"admin","user":"emp-corp-ws-01"}}`,
+		`{"t":"2010-06-01T00:00:00Z","seq":3,"cat":"user","actor":"CORP-WS-02","msg":"users.session.start office","span":2,"tags":{"exp":"D5","vector":"user","profile":"office","user":"emp-corp-ws-02"}}`,
+		`{"t":"2010-06-01T00:00:00Z","seq":5,"cat":"alert","actor":"IIS-01","msg":"alert: vpn-login-external","tags":{"rule":"vpn-login-external"}}`,
+		`{"t":"2010-06-01T00:00:00Z","seq":7,"cat":"alert","actor":"IIS-01","msg":"alert: webshell-write","parent":2,"tags":{"rule":"webshell-write"}}`,
+		// A non-UTC offset, and repeated tag keys.
+		`{"t":"2010-06-01T08:30:00.25+01:00","seq":9,"cat":"spread","actor":"WS-01","msg":"fan-out","span":4,"parent":3,"tags":{"target":"WS-02","target":"WS-03"}}`,
+		// Offsets that carry the UTC instant out of RFC 3339's years.
+		`{"t":"9999-12-31T23:30:00-01:00","seq":1,"cat":"c","actor":"a","msg":"m"}`,
+		`{"t":"0000-01-01T00:30:00+01:00","seq":1,"cat":"c","actor":"a","msg":"m"}`,
+		"\n\n" + `{"t":"2010-06-01T00:00:00Z","seq":1,"cat":"","actor":"","msg":"","tags":null}` + "\r\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, err := ParseJSONL(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := WriteJSONL(&first, events); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ParseJSONL(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-parse of WriteJSONL output failed: %v\n%s", err, first.Bytes())
+		}
+		var second bytes.Buffer
+		if err := WriteJSONL(&second, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("re-encode drifted:\nfirst  %s\nsecond %s", first.Bytes(), second.Bytes())
+		}
+	})
+}

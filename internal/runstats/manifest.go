@@ -68,12 +68,10 @@ type PartitionEntry struct {
 // (DESIGN.md §13). All zero on an undisturbed run; the section is
 // always present so consumers can rely on the key.
 type SupervisionStats struct {
-	Stalls                uint64 `json:"stalls"`
-	DeadlineAborts        uint64 `json:"deadline_aborts"`
-	Cancels               uint64 `json:"cancels"`
-	Retries               uint64 `json:"retries"`
-	DeterminismViolations uint64 `json:"determinism_violations"`
-	JournalServed         uint64 `json:"journal_served"`
+	Stalls         uint64 `json:"stalls"`
+	DeadlineAborts uint64 `json:"deadline_aborts"`
+	Cancels        uint64 `json:"cancels"`
+	JournalServed  uint64 `json:"journal_served"`
 }
 
 // HeapStats are the Go heap watermarks of the run.
@@ -134,12 +132,10 @@ func (c *Collector) Manifest() *Manifest {
 			NumGC:         c.numGC.Load(),
 		},
 		Supervision: SupervisionStats{
-			Stalls:                c.supStalls.Load(),
-			DeadlineAborts:        c.supDeadlines.Load(),
-			Cancels:               c.supCancels.Load(),
-			Retries:               c.supRetries.Load(),
-			DeterminismViolations: c.supViolations.Load(),
-			JournalServed:         c.supJournal.Load(),
+			Stalls:         c.supStalls.Load(),
+			DeadlineAborts: c.supDeadlines.Load(),
+			Cancels:        c.supCancels.Load(),
+			JournalServed:  c.supJournal.Load(),
 		},
 	}
 	if events > 0 {

@@ -78,13 +78,11 @@ type Collector struct {
 	expTotal atomic.Int64
 
 	// Supervision-layer counters (DESIGN.md §13), fed by the watchdog
-	// sweeper and the supervised runner.
-	supStalls     atomic.Uint64 // vtime-stall watchdog aborts
-	supDeadlines  atomic.Uint64 // wall-clock deadline aborts
-	supCancels    atomic.Uint64 // experiment cancellations, any cause
-	supRetries    atomic.Uint64 // -max-retries re-executions
-	supViolations atomic.Uint64 // retries that produced different bytes
-	supJournal    atomic.Uint64 // experiments served from a resume journal
+	// sweeper and the batch runner.
+	supStalls    atomic.Uint64 // vtime-stall watchdog aborts
+	supDeadlines atomic.Uint64 // wall-clock deadline aborts
+	supCancels   atomic.Uint64 // experiment cancellations, any cause
+	supJournal   atomic.Uint64 // experiments served from a resume journal
 
 	mu         sync.Mutex
 	phases     map[string]time.Duration
@@ -277,13 +275,6 @@ func (c *Collector) CountDeadline() { c.supDeadlines.Add(1) }
 
 // CountCancel records an experiment cancellation of any cause.
 func (c *Collector) CountCancel() { c.supCancels.Add(1) }
-
-// CountRetry records a -max-retries re-execution.
-func (c *Collector) CountRetry() { c.supRetries.Add(1) }
-
-// CountViolation records a retry that failed to reproduce the first
-// attempt's bytes.
-func (c *Collector) CountViolation() { c.supViolations.Add(1) }
 
 // CountJournalServed records an experiment satisfied from a resume
 // journal instead of executed.
