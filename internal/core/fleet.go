@@ -53,6 +53,7 @@ func (w *World) AddHostsSharded(lan *netsim.LAN, workers int, specs []HostSpec) 
 	runPool(len(specs), workers, func(i int) {
 		all := append([]host.Option{
 			host.WithCertStore(w.PKI.BaseStore.Clone()),
+			host.WithImageMemo(w.images),
 			host.WithRNG(anchor.ForkAt(uint64(i))),
 		}, specs[i].Opts...)
 		h := host.New(w.K, specs[i].Name, all...)

@@ -114,6 +114,12 @@ func BuildAramcoFleet(seed uint64, opts AramcoFleetOptions) (*AramcoFleet, error
 		if err != nil {
 			return nil, err
 		}
+		if i > 0 {
+			// One image memo for the whole partitioned world: every
+			// site's hosts share the hub's, from whichever shard
+			// goroutine advances them.
+			w.images = f.Sites[0].World.images
+		}
 		part := f.Set.Add(w.K)
 		siteOpts := AramcoOptions{
 			Workstations: size,

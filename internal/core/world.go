@@ -67,6 +67,9 @@ type World struct {
 	lans  map[string]*netsim.LAN
 	hosts map[string]*netsim.LAN    // host name -> its LAN
 	extra map[string]map[string]any // host name -> implant Extra
+	// images is the shared-image parse memo every host of the world
+	// holds (DESIGN.md §9).
+	images *host.ImageMemo
 }
 
 // WorldConfig parameterizes NewWorld.
@@ -102,6 +105,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	w := &World{
 		K:        k,
 		run:      cfg.Run,
+		images:   host.NewImageMemo(),
 		Internet: netsim.NewInternet(k),
 		Radio:    netsim.NewRadio(k),
 		lans:     make(map[string]*netsim.LAN),
@@ -234,7 +238,7 @@ func (w *World) NewLAN(name, subnet string, airGapped bool) *netsim.LAN {
 // AddHost creates a host on the LAN with the world trust store and the
 // malware dispatcher attached.
 func (w *World) AddHost(lan *netsim.LAN, name string, opts ...host.Option) *host.Host {
-	all := append([]host.Option{host.WithCertStore(w.PKI.BaseStore.Clone())}, opts...)
+	all := append([]host.Option{host.WithCertStore(w.PKI.BaseStore.Clone()), host.WithImageMemo(w.images)}, opts...)
 	h := host.New(w.K, name, all...)
 	lan.Attach(h)
 	w.hosts[name] = lan

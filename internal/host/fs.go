@@ -191,16 +191,21 @@ var (
 )
 
 // put replaces the node at path (honouring the read-only refusal) and
-// registers parent directories.
+// registers parent directories. Replacing a file needs no registration:
+// its parents were registered when it was created, and directories are
+// never removed.
 func (fs *FS) put(path string, node *FileNode) error {
 	clean := CleanPath(path)
 	key := fsKey(clean)
-	if existing, ok := fs.files[key]; ok && existing.Attr&AttrReadOnly != 0 {
+	existing, ok := fs.files[key]
+	if ok && existing.Attr&AttrReadOnly != 0 {
 		return fmt.Errorf("%w: %s", ErrReadOnly, clean)
 	}
 	node.Path = clean
 	fs.files[key] = node
-	fs.mkParents(clean)
+	if !ok {
+		fs.mkParents(clean)
+	}
 	return nil
 }
 

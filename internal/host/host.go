@@ -185,6 +185,8 @@ type Host struct {
 	// mExec is cached: Execute runs once per process on a 30,000-host
 	// fleet, so it must not pay a registry lookup per call.
 	mExec *obs.Counter
+	// images parses shared files once for every host holding the memo.
+	images *ImageMemo
 }
 
 // Option configures a new Host.
@@ -232,6 +234,11 @@ func WithRNG(r *sim.RNG) Option { return func(h *Host) { h.RNG = r } }
 // WithEagerDocs makes the host seed documents eagerly (see Host.EagerDocs).
 func WithEagerDocs(v bool) Option { return func(h *Host) { h.EagerDocs = v } }
 
+// WithImageMemo shares m with the host (default: a memo of its own). A
+// world hands every host the same memo, so an image dropped fleet-wide
+// is parsed once per world.
+func WithImageMemo(m *ImageMemo) Option { return func(h *Host) { h.images = m } }
+
 // New creates a host attached to the kernel.
 func New(k *sim.Kernel, name string, opts ...Option) *Host {
 	h := &Host{
@@ -259,6 +266,9 @@ func New(k *sim.Kernel, name string, opts ...Option) *Host {
 	}
 	if h.CertStore == nil {
 		h.CertStore = pki.NewStore()
+	}
+	if h.images == nil {
+		h.images = NewImageMemo()
 	}
 	return h
 }
@@ -353,23 +363,37 @@ func (h *Host) Reboot() {
 // Execute scans img with the installed security products and, if clean,
 // spawns a process and hands it to the dispatcher.
 func (h *Host) Execute(img *pe.File, system bool) (*Process, error) {
-	if h.Down {
-		return nil, fmt.Errorf("%w: %s", ErrHostDown, h.Name)
-	}
-	if img.Machine == pe.MachineX64 && h.Arch != pe.MachineX64 {
-		return nil, fmt.Errorf("host: cannot execute %s image %q on %s host %s", img.Machine, img.Name, h.Arch, h.Name)
-	}
-	for _, prod := range h.security {
-		if det := prod.ScanImage(h, img); det != "" {
-			h.K.Metrics().Counter("host.security.block").Inc()
-			h.Logf(sim.CatDefense, prod.Name(), "blocked %s (%s)", img.Name, det)
-			return nil, fmt.Errorf("%w: %s detected %s as %s", ErrBlocked, prod.Name(), img.Name, det)
-		}
+	if err := h.admit(img); err != nil {
+		return nil, err
 	}
 	digest, err := img.Digest()
 	if err != nil {
 		return nil, fmt.Errorf("execute %q: %w", img.Name, err)
 	}
+	return h.spawn(img, digest, system), nil
+}
+
+// admit refuses img on a downed host, on the wrong architecture, or when a
+// security product detects it.
+func (h *Host) admit(img *pe.File) error {
+	if h.Down {
+		return fmt.Errorf("%w: %s", ErrHostDown, h.Name)
+	}
+	if img.Machine == pe.MachineX64 && h.Arch != pe.MachineX64 {
+		return fmt.Errorf("host: cannot execute %s image %q on %s host %s", img.Machine, img.Name, h.Arch, h.Name)
+	}
+	for _, prod := range h.security {
+		if det := prod.ScanImage(h, img); det != "" {
+			h.K.Metrics().Counter("host.security.block").Inc()
+			h.Logf(sim.CatDefense, prod.Name(), "blocked %s (%s)", img.Name, det)
+			return fmt.Errorf("%w: %s detected %s as %s", ErrBlocked, prod.Name(), img.Name, det)
+		}
+	}
+	return nil
+}
+
+// spawn starts an admitted image whose digest is known.
+func (h *Host) spawn(img *pe.File, digest [32]byte, system bool) *Process {
 	h.nextPID++
 	proc := &Process{PID: h.nextPID, Image: img.Name, Digest: digest, System: system, Alive: true}
 	h.procs[proc.PID] = proc
@@ -380,20 +404,24 @@ func (h *Host) Execute(img *pe.File, system bool) (*Process, error) {
 	if h.Dispatcher != nil {
 		h.Dispatcher(h, proc, img)
 	}
-	return proc, nil
+	return proc
 }
 
-// ExecuteFile parses the SPE image stored at path and executes it.
+// ExecuteFile parses the SPE image stored at path and executes it. A
+// shared file is parsed and hashed once per image memo (see ImageMemo).
 func (h *Host) ExecuteFile(path string, system bool) (*Process, error) {
 	f, err := h.FS.Read(path)
 	if err != nil {
 		return nil, err
 	}
-	img, err := pe.Parse(f.Bytes())
+	img, digest, err := h.images.parse(f)
 	if err != nil {
 		return nil, fmt.Errorf("execute %s: %w", path, err)
 	}
-	return h.Execute(img, system)
+	if err := h.admit(img); err != nil {
+		return nil, err
+	}
+	return h.spawn(img, digest, system), nil
 }
 
 // Kill marks a process dead.

@@ -189,9 +189,13 @@ func (in *Internet) Dispatch(req *Request) (*Response, error) {
 	}
 	in.mDispatch.Inc()
 	in.hBytes.Observe(float64(len(req.Body)))
-	in.K.Trace().Emit(in.K.Now(), sim.CatNetwork, req.Source,
-		fmt.Sprintf("%s http://%s%s (%d bytes)", req.Method, req.Host, req.Path, len(req.Body)),
-		obs.T("dest", req.Host), obs.Ti("bytes", int64(len(req.Body))))
+	if tr := in.K.Trace(); tr.Live() {
+		tr.Emit(in.K.Now(), sim.CatNetwork, req.Source,
+			fmt.Sprintf("%s http://%s%s (%d bytes)", req.Method, req.Host, req.Path, len(req.Body)),
+			obs.T("dest", req.Host), obs.Ti("bytes", int64(len(req.Body))))
+	} else {
+		tr.Tally(sim.CatNetwork)
+	}
 	return srv.ServeSim(req), nil
 }
 

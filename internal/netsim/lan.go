@@ -343,9 +343,13 @@ func (l *LAN) CopyToShare(from *host.Host, target, remotePath string, data []byt
 		return fmt.Errorf("%w: smb copy to %s", ErrPacketLoss, target)
 	}
 	l.mSMBCopy.Inc()
-	l.K.Trace().Emit(l.K.Now(), sim.CatSpread, from.Name,
-		fmt.Sprintf("smb copy to \\\\%s%s (%d bytes)", target, remotePath, len(data)),
-		obs.T("target", target), obs.Ti("bytes", int64(len(data))))
+	if tr := l.K.Trace(); tr.Live() {
+		tr.Emit(l.K.Now(), sim.CatSpread, from.Name,
+			fmt.Sprintf("smb copy to \\\\%s%s (%d bytes)", target, remotePath, len(data)),
+			obs.T("target", target), obs.Ti("bytes", int64(len(data))))
+	} else {
+		tr.Tally(sim.CatSpread)
+	}
 	return n.Host.FS.WriteShared(remotePath, data, 0, l.K.Now())
 }
 

@@ -217,7 +217,9 @@ func (f *File) validate() error {
 
 // Digest returns the SHA-256 of the image with the signature blob removed.
 // It is the value that signatures cover and the sample-identity key used by
-// the malware behaviour registry.
+// the malware behaviour registry. It marshals the image, so it reflects
+// every field as it is now; ParseDigest computes the same value from an
+// image's bytes without the copy.
 func (f *File) Digest() ([32]byte, error) {
 	clone := *f
 	clone.SigBlob = nil

@@ -1,6 +1,7 @@
 package pe
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"time"
@@ -9,8 +10,61 @@ import (
 // Parse decodes an SPE image, validating every length field against both
 // the declared limits and the remaining input so that truncated or hostile
 // input fails cleanly instead of panicking.
+//
+// Parse is canonical: it accepts only byte strings Marshal can produce, so
+// Marshal(Parse(b)) == b for every accepted b. In particular the reserved
+// flags word must be zero: a signature covers the digest of the parsed
+// image, and bytes Parse dropped could change without breaking it.
 func Parse(raw []byte) (*File, error) {
+	f, _, err := parse(raw)
+	return f, err
+}
+
+// ParseDigest is Parse followed by Digest, with the digest hashed straight
+// from raw instead of from a re-marshalled copy. Because Parse is
+// canonical, raw up to the signature blob's length field is exactly what
+// Marshal writes for the image with its SigBlob removed; a zero length
+// completes that encoding. It fails exactly when Parse does: an accepted
+// image is at most maxTotalLen bytes, so its unsigned encoding is too.
+func ParseDigest(raw []byte) (*File, [32]byte, error) {
+	var d [32]byte
+	f, sigAt, err := parse(raw)
+	if err != nil {
+		return nil, d, err
+	}
+	h := sha256.New()
+	h.Write(raw[:sigAt])
+	h.Write([]byte{0, 0, 0, 0})
+	h.Sum(d[:0])
+	return f, d, nil
+}
+
+// parse decodes raw and returns the offset of the signature blob's length
+// field with the image.
+func parse(raw []byte) (*File, int, error) {
+	if len(raw) > maxTotalLen {
+		return nil, 0, fmt.Errorf("pe: input of %d bytes exceeds %d", len(raw), maxTotalLen)
+	}
 	r := reader{buf: raw}
+	f, err := r.image()
+	if err != nil {
+		return nil, 0, err
+	}
+	sigAt := r.pos
+	if f.SigBlob, err = r.bytes32(); err != nil {
+		return nil, 0, fmt.Errorf("pe: signature blob: %w", err)
+	}
+	if len(f.SigBlob) == 0 {
+		f.SigBlob = nil
+	}
+	if r.pos != len(r.buf) {
+		return nil, 0, fmt.Errorf("pe: %d trailing bytes after image", len(r.buf)-r.pos)
+	}
+	return f, sigAt, nil
+}
+
+// image decodes everything in front of the signature blob.
+func (r *reader) image() (*File, error) {
 	magic, err := r.take(4)
 	if err != nil {
 		return nil, err
@@ -24,8 +78,12 @@ func Parse(raw []byte) (*File, error) {
 		return nil, err
 	}
 	f.Machine = Machine(machine)
-	if _, err := r.u16(); err != nil { // flags, reserved
+	flags, err := r.u16()
+	if err != nil {
 		return nil, err
+	}
+	if flags != 0 {
+		return nil, fmt.Errorf("pe: reserved flags %#04x are not zero", flags)
 	}
 	ts, err := r.i64()
 	if err != nil {
@@ -109,16 +167,6 @@ func Parse(raw []byte) (*File, error) {
 			return nil, fmt.Errorf("pe: resource %d: %w", res.ID, err)
 		}
 		f.Resources = append(f.Resources, res)
-	}
-
-	if f.SigBlob, err = r.bytes32(); err != nil {
-		return nil, fmt.Errorf("pe: signature blob: %w", err)
-	}
-	if len(f.SigBlob) == 0 {
-		f.SigBlob = nil
-	}
-	if r.pos != len(r.buf) {
-		return nil, fmt.Errorf("pe: %d trailing bytes after image", len(r.buf)-r.pos)
 	}
 	return f, nil
 }

@@ -126,6 +126,53 @@ func TestParseTrailingGarbage(t *testing.T) {
 	}
 }
 
+func TestParseRejectsReservedFlags(t *testing.T) {
+	raw, err := sampleFile().Marshal()
+	if err != nil {
+		t.Fatalf("Marshal: %v", err)
+	}
+	for _, off := range []int{6, 7} { // the flags u16 follows magic and machine
+		mut := append([]byte(nil), raw...)
+		mut[off] = 0x01
+		if _, err := Parse(mut); err == nil || !strings.Contains(err.Error(), "reserved flags") {
+			t.Fatalf("flags byte %d set: err = %v, want a reserved-flags refusal", off, err)
+		}
+		if _, _, err := ParseDigest(mut); err == nil {
+			t.Fatalf("flags byte %d set: ParseDigest accepted the image", off)
+		}
+	}
+}
+
+func TestParseRejectsOversizedInput(t *testing.T) {
+	// Marshal never writes more than maxTotalLen bytes, so a canonical
+	// Parse refuses more before reading a field. The zeroed buffer is
+	// never written, so the test costs address space, not memory.
+	if _, err := Parse(make([]byte, maxTotalLen+1)); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("err = %v, want a size refusal", err)
+	}
+}
+
+func TestParseDigestMatchesDigest(t *testing.T) {
+	for _, sig := range [][]byte{nil, []byte("signature blob")} {
+		f := sampleFile()
+		f.SigBlob = sig
+		raw, err := f.Marshal()
+		if err != nil {
+			t.Fatalf("Marshal: %v", err)
+		}
+		img, got, err := ParseDigest(raw)
+		if err != nil {
+			t.Fatalf("ParseDigest: %v", err)
+		}
+		if want := f.MustDigest(); got != want {
+			t.Fatalf("sig %q: digest from bytes %x, marshalled %x", sig, got, want)
+		}
+		if !bytes.Equal(img.SigBlob, sig) {
+			t.Fatalf("SigBlob = %q, want %q", img.SigBlob, sig)
+		}
+	}
+}
+
 func TestParseHostileLengthField(t *testing.T) {
 	raw, err := sampleFile().Marshal()
 	if err != nil {

@@ -293,6 +293,29 @@ func TestVerifyImageRejectsTamper(t *testing.T) {
 	}
 }
 
+// TestSignedImageFlagsAreCovered flips the reserved flags word of a signed
+// driver's bytes. Parse used to read and drop it, so the tampered bytes
+// parsed to the signed image and verified; a canonical Parse refuses them.
+func TestSignedImageFlagsAreCovered(t *testing.T) {
+	d := newDriverSigner(t)
+	store := NewStore(d.root.Cert)
+	raw, err := d.sign(t, d.key, d.leaf).Marshal()
+	if err != nil {
+		t.Fatalf("Marshal: %v", err)
+	}
+	for _, off := range []int{6, 7} { // flags u16 after magic and machine
+		mut := append([]byte(nil), raw...)
+		mut[off] ^= 0xA5
+		img, err := pe.Parse(mut)
+		if err != nil {
+			continue
+		}
+		if _, verr := VerifyImage(img, store, testNow, UsageDriverSign); verr == nil {
+			t.Fatalf("flags byte %d flipped: image parsed and its signature still verified", off)
+		}
+	}
+}
+
 func TestVerifyImageUnsigned(t *testing.T) {
 	store := NewStore()
 	img := &pe.File{Name: "x.exe", Machine: pe.MachineX86, Timestamp: testNow}

@@ -108,9 +108,28 @@ func (t *Trace) SetMuted(m bool) { t.muted = m }
 // of purely observational records — the benign user-activity layer emits
 // one breadcrumb per action across tens of thousands of hosts — check
 // this before paying for message formatting, so muted fleet benchmarks
-// skip the cost entirely. Substrate events must NOT be gated on it:
-// their counters and side effects are part of the simulation.
+// skip the cost entirely. Substrate events must NOT be skipped on it:
+// their counters are part of the simulation. A hot substrate emitter may
+// call Tally instead of Emit while the trace is not live.
 func (t *Trace) Live() bool { return !t.muted || len(t.sinks) > 0 }
+
+// Tally advances the category counter and the sequence number exactly as
+// Emit does, without building a record. While the trace is not live, Emit
+// does nothing else, so a substrate emitter that calls Tally then skips
+// only its message formatting and tags:
+//
+//	if tr.Live() {
+//		tr.Emit(at, cat, actor, fmt.Sprintf(...), tags...)
+//	} else {
+//		tr.Tally(cat)
+//	}
+func (t *Trace) Tally(cat Category) {
+	t.counts[cat]++
+	t.seq++
+}
+
+// Seq returns the sequence number of the last record emitted or tallied.
+func (t *Trace) Seq() uint64 { return t.seq }
 
 // Subscribe registers a sink called synchronously with every record as
 // it is emitted — ring eviction and muting do not apply, so a live

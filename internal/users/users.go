@@ -234,7 +234,21 @@ func EnsureServices(in *netsim.Internet) {
 
 // docExts are the document types office agents churn (a subset of what
 // the collection malware hunts, so noise documents are plausible loot).
-var docExts = []string{"docx", "xlsx", "pdf", "txt"}
+var docExts = [...]string{"docx", "xlsx", "pdf", "txt"}
+
+// docSlots is how many documents an agent rotates through.
+const docSlots = 8
+
+// draftNames[slot][ext] is "draft-NN.ext", built once rather than
+// formatted on every document write.
+var draftNames = func() (t [docSlots][len(docExts)]string) {
+	for slot := range t {
+		for ext := range t[slot] {
+			t[slot][ext] = fmt.Sprintf("draft-%02d.%s", slot, docExts[ext])
+		}
+	}
+	return t
+}()
 
 // Attach builds one agent per host according to cfg.Mix and starts their
 // timers. It must be called from the sequential phase of fleet
@@ -396,16 +410,16 @@ func (p *Population) act(a *Agent) {
 	}
 }
 
-// breadcrumb emits the action's cat=user trace record. Skipped entirely
-// on dead traces (muted, no subscribers) so 30k busy hosts pay nothing
-// for it in fleet benchmarks; counters and substrate events are never
-// gated this way.
-func (p *Population) breadcrumb(a *Agent, msg string) {
+// breadcrumb emits the action's cat=user trace record, "action object".
+// Skipped entirely on dead traces (muted, no subscribers), message
+// included, so 30k busy hosts pay nothing for it in fleet benchmarks;
+// counters and substrate events are never gated this way.
+func (p *Population) breadcrumb(a *Agent, action, object string) {
 	tr := p.K.Trace()
 	if !tr.Live() {
 		return
 	}
-	tr.Emit(p.K.Now(), sim.CatUser, a.H.Name, msg,
+	tr.Emit(p.K.Now(), sim.CatUser, a.H.Name, action+" "+object,
 		obs.T("user", a.user), obs.T("profile", string(a.Profile)))
 }
 
@@ -416,12 +430,11 @@ func (p *Population) breadcrumb(a *Agent, msg string) {
 // read (or wipe) sees the same bytes either way. The slot cap bounds
 // per-host file growth however long the run.
 func (p *Population) writeDoc(a *Agent) {
-	const docSlots = 8
 	slot := a.docSlot % docSlots
 	a.docSlot++
-	ext := docExts[a.rng.Intn(len(docExts))]
+	ext := a.rng.Intn(len(docExts))
 	size := 1024 + a.rng.Intn(p.cfg.DocBytes-1024)
-	name := fmt.Sprintf("draft-%02d.%s", slot, ext)
+	name := draftNames[slot][ext]
 	path := `C:\Users\` + a.user + `\documents\` + name
 	var err error
 	if a.H.EagerDocs {
@@ -438,7 +451,7 @@ func (p *Population) writeDoc(a *Agent) {
 	}
 	p.Stats.DocWrites++
 	p.mDoc.Inc()
-	p.breadcrumb(a, "users.doc.write "+name)
+	p.breadcrumb(a, "users.doc.write", name)
 }
 
 // mail sends (send=true) or polls (send=false) the corporate mail host.
@@ -458,11 +471,11 @@ func (p *Population) mail(a *Agent, send bool) {
 	if send {
 		p.Stats.MailsSent++
 		p.mMailSend.Inc()
-		p.breadcrumb(a, "users.mail.send "+MailDomain)
+		p.breadcrumb(a, "users.mail.send", MailDomain)
 	} else {
 		p.Stats.MailsRead++
 		p.mMailRead.Inc()
-		p.breadcrumb(a, "users.mail.recv "+MailDomain)
+		p.breadcrumb(a, "users.mail.recv", MailDomain)
 	}
 }
 
@@ -481,7 +494,7 @@ func (p *Population) browse(a *Agent) {
 	}
 	p.Stats.WebVisits++
 	p.mWeb.Inc()
-	p.breadcrumb(a, "users.web.browse "+site)
+	p.breadcrumb(a, "users.web.browse", site)
 }
 
 // shareCopy drops the agent's report on the next peer's public share —
@@ -502,21 +515,22 @@ func (p *Population) shareCopy(a *Agent) {
 	}
 	p.Stats.ShareCopies++
 	p.mShare.Inc()
-	p.breadcrumb(a, "users.share.copy to "+target.Name)
+	p.breadcrumb(a, "users.share.copy to", target.Name)
 }
 
 // usbCycle plugs the agent's personal stick, parks the report on it, and
-// removes it — the benign cat=usb telemetry.
+// removes it — the benign cat=usb telemetry. The stick's copy aliases the
+// shared immutable report, like the share copies.
 func (p *Population) usbCycle(a *Agent) {
 	if a.drive == nil {
 		a.drive = usb.NewDrive("USB-" + a.H.Name)
 	}
 	a.H.InsertUSB(a.drive)
-	a.drive.Put("backup-"+a.user+".docx", p.reportMu, false)
+	a.drive.PutShared("backup-"+a.user+".docx", p.reportMu, false)
 	a.H.RemoveUSB()
 	p.Stats.USBCycles++
 	p.mUSB.Inc()
-	p.breadcrumb(a, "users.usb.cycle "+a.drive.Label)
+	p.breadcrumb(a, "users.usb.cycle", a.drive.Label)
 }
 
 // toolRun executes the benign build tool — ordinary cat=exec telemetry
@@ -528,7 +542,7 @@ func (p *Population) toolRun(a *Agent) {
 	}
 	p.Stats.ToolRuns++
 	p.mTool.Inc()
-	p.breadcrumb(a, "users.tool.run "+p.toolImg.Name)
+	p.breadcrumb(a, "users.tool.run", p.toolImg.Name)
 }
 
 // maintain is the admin's maintenance round against the next fleet host
@@ -563,7 +577,7 @@ func (p *Population) maintain(a *Agent) {
 		}
 		p.Stats.Maintenances++
 		p.mMaintain.Inc()
-		p.breadcrumb(a, "users.host.maintain "+target.Name)
+		p.breadcrumb(a, "users.host.maintain", target.Name)
 	})
 }
 
