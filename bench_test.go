@@ -50,7 +50,7 @@ func benchExperiment(b *testing.B, id string, metrics ...string) {
 func benchRunAll(b *testing.B, workers int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		for _, rep := range core.RunAllParallel(1, workers) {
+		for _, rep := range core.RunExperiments(core.ExperimentIDs(), 1, workers) {
 			if rep.Err != nil {
 				b.Fatalf("%s: %v", rep.ID, rep.Err)
 			}

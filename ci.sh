@@ -65,14 +65,18 @@ go test -race -timeout 300s -run 'Fault|Resilience' ./internal/core ./internal/n
 go test -race -timeout 300s ./internal/runstats
 go test -race -timeout 300s -run 'Runstats' ./internal/core
 
-# Supervision race lane (DESIGN.md §13): the watchdog sweeper, context
-# cancellation, and journal writer all cross goroutines by construction
-# (a batch's sweeper cancelling a worker's kernels, a cancelled context
-# racing in-flight experiments, two run configurations in one process),
-# so every cancellation, stall, deadline, journal and run-context test
-# runs under -race, in the substrate and at the CLI.
+# Supervision race lane (DESIGN.md §13): context cancellation and the
+# journal writer cross goroutines by construction (a stall probe on a
+# kernel goroutine cancelling its run, a deadline timer or a cancelled
+# batch context racing in-flight experiments, two run configurations in
+# one process), so every cancellation, stall, deadline, journal and
+# run-context test runs under -race, in the substrate and at the CLI.
 go test -race -timeout 300s -run 'Cancel|Stall|Watchdog|Deadline|Shutdown|Journal|Supervision|RunContext' \
     ./internal/sim ./internal/core ./cmd/cyberlab
+# The probe-driven cancel and the per-run AfterFunc fan-out are
+# cross-goroutine paths whose races are timing-dependent, so the abort
+# tests (and the manifest counters they feed) repeat ten times.
+go test -race -timeout 300s -count=10 -run 'Watchdog|Deadline|Shutdown|RunContextCancel|SupervisionCounters' ./internal/core
 
 # Partition race lane (DESIGN.md §14): the epoch-barrier worker pool,
 # the cross-partition mailboxes, and the cancel fan-out across shard

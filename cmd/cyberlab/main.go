@@ -423,6 +423,9 @@ func runProfile(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("profile: unexpected argument %q (flags must all come before it)", fs.Arg(0))
+	}
 	if *id == "" && !*all {
 		return fmt.Errorf("profile: specify -run IDs or -all")
 	}
@@ -493,6 +496,9 @@ func runDetect(args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("detect: unexpected argument %q (flags must all come before it)", fs.Arg(0))
 	}
 	if *in == "" {
 		return fmt.Errorf("detect: -in FILE is required")
@@ -799,6 +805,9 @@ func runTrace(args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("trace: unexpected argument %q (flags must all come before it)", fs.Arg(0))
 	}
 	if *in == "" {
 		return fmt.Errorf("trace: -in FILE is required")

@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -104,6 +106,28 @@ func TestStrayArgumentRefused(t *testing.T) {
 	} {
 		if err := run(context.Background(), args); err == nil || !strings.Contains(err.Error(), `"`+stray+`"`) {
 			t.Fatalf("run(%q) = %v, want a refusal naming %q", args, err, stray)
+		}
+	}
+}
+
+// TestSubcommandStrayArgumentRefused: flag parsing stops at the first
+// positional argument, so every flag after a stray one would be dropped
+// silently (profile would print its manifest to stdout instead of -o).
+// Each subcommand refuses the stray argument by name instead, before it
+// runs or writes anything.
+func TestSubcommandStrayArgumentRefused(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "out")
+	for _, args := range [][]string{
+		{"profile", "-run", "F3", "junk", "-o", out},
+		{"trace", "-in", "x.jsonl", "junk", "-dot", out},
+		{"detect", "-in", "x.jsonl", "junk", "-o", out},
+	} {
+		err := run(context.Background(), args)
+		if err == nil || !strings.HasPrefix(err.Error(), args[0]+":") || !strings.Contains(err.Error(), `"junk"`) {
+			t.Fatalf("run(%q) = %v, want a %s refusal naming \"junk\"", args, err, args[0])
+		}
+		if _, statErr := os.Stat(out); statErr == nil {
+			t.Fatalf("run(%q) wrote %s despite refusing its arguments", args, out)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -75,18 +74,18 @@ func runPool(n, workers int, run func(i int)) {
 	wg.Wait()
 }
 
-// runOne executes a single experiment, converting panics into errors so
-// one broken experiment can never truncate a sweep report. The
-// experiment gets its own Run: the kernels its worlds build register
-// with it, a supervisor abort or a cancelled context unwinds here as a
+// execute runs a single experiment, converting panics into errors so one
+// broken experiment can never truncate a sweep report. The experiment
+// gets its own Run under ctx: the kernels its worlds build register with
+// it, a supervisor abort or a cancelled context unwinds here as a
 // *sim.Cancelled and becomes a partial report, and a context cancelled
 // before the start skips the experiment outright. When a wall-clock
 // collector is active it gets the experiment's wall time and pass/fail —
 // telemetry that stays on the nondeterministic plane (the deterministic
 // Result never carries wall data).
-func (b *batch) runOne(id string, seed uint64) (rep RunReport) {
+func execute(ctx context.Context, opt RunOptions, id string, seed uint64) (rep RunReport) {
 	rep = RunReport{ID: id, Seed: seed}
-	if cause := context.Cause(b.ctx); cause != nil {
+	if cause := context.Cause(ctx); cause != nil {
 		rep.Skipped = true
 		rep.Err = fmt.Errorf("experiment %s: skipped: %v", id, cause)
 		return rep
@@ -96,12 +95,13 @@ func (b *batch) runOne(id string, seed uint64) (rep RunReport) {
 		rep.Err = fmt.Errorf("experiment %s: unknown ID", id)
 		return rep
 	}
-	run := b.begin(id, seed)
+	started := time.Now()
+	run, stop := startRun(ctx, opt, id, seed)
 	defer func() {
-		b.end(run)
+		stop()
 		if r := recover(); r != nil {
 			rep.Result = nil
-			rep.Wall = time.Since(run.started)
+			rep.Wall = time.Since(started)
 			if c, isCancel := sim.AsCancelled(r); isCancel {
 				rep.Partial = true
 				rep.Err = fmt.Errorf("experiment %s: aborted: %w", id, c)
@@ -119,7 +119,7 @@ func (b *batch) runOne(id string, seed uint64) (rep RunReport) {
 	}()
 	defer runstats.Phase("run")()
 	rep.Result, rep.Err = runner(run)
-	rep.Wall = time.Since(run.started)
+	rep.Wall = time.Since(started)
 	if rep.Err != nil {
 		rep.Err = fmt.Errorf("experiment %s: %w", id, rep.Err)
 	} else {
@@ -184,8 +184,6 @@ type RunOptions struct {
 	Deadline time.Duration
 }
 
-func (o RunOptions) armed() bool { return o.Stall > 0 || o.Deadline > 0 }
-
 // runBatch executes every (experiment, seed) pair, experiment-major,
 // across one worker pool under opt; each report lands in its fixed slot.
 // Cancelling ctx skips pairs not yet started and aborts in-flight ones
@@ -200,8 +198,6 @@ func runBatch(ctx context.Context, ids []string, seeds []uint64, opt RunOptions,
 	if c := runstats.Active(); c != nil {
 		c.SetTotalExperiments(len(reports))
 	}
-	b := startBatch(ctx, opt)
-	defer b.stop()
 	runPool(len(reports), opt.Workers, func(i int) {
 		id, seed := ids[i/len(seeds)], seeds[i%len(seeds)]
 		rep, served := opt.Journal.Lookup(id, seed)
@@ -210,7 +206,7 @@ func runBatch(ctx context.Context, ids []string, seeds []uint64, opt RunOptions,
 				c.CountJournalServed()
 			}
 		} else {
-			rep = b.runOne(id, seed)
+			rep = execute(ctx, opt, id, seed)
 			opt.Journal.Record(rep)
 		}
 		if rep.Result != nil && dropEvents {
@@ -233,12 +229,6 @@ func RunExperiments(ids []string, seed uint64, workers int) []RunReport {
 // context whose cancellation winds the run down gracefully.
 func RunExperimentsOpts(ctx context.Context, ids []string, seed uint64, opt RunOptions) []RunReport {
 	return runBatch(ctx, ids, []uint64{seed}, opt, false)
-}
-
-// RunAllParallel executes every registered experiment with the same seed
-// across a pool of workers. Reports come back in report order.
-func RunAllParallel(seed uint64, workers int) []RunReport {
-	return RunExperiments(ExperimentIDs(), seed, workers)
 }
 
 // --- Multi-seed Monte Carlo sweep ---
@@ -355,15 +345,4 @@ func RenderSweep(entries []SweepEntry) string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// JoinErrors folds every per-report error into one, or nil.
-func JoinErrors(reports []RunReport) error {
-	var errs []error
-	for _, rep := range reports {
-		if rep.Err != nil {
-			errs = append(errs, rep.Err)
-		}
-	}
-	return errors.Join(errs...)
 }

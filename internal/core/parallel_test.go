@@ -67,19 +67,9 @@ func TestRunAllParallelMatchesSequentialFullRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite double run skipped in -short mode")
 	}
-	results, err := RunAll(1) // the sequential baseline path
-	if err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
-	if len(results) != len(ExperimentIDs()) {
-		t.Fatalf("RunAll results = %d, want %d", len(results), len(ExperimentIDs()))
-	}
-	var want strings.Builder
-	for _, res := range results {
-		want.WriteString(res.Render())
-	}
-	got := renderReports(t, RunAllParallel(1, 8))
-	if got != want.String() {
+	want := renderReports(t, RunExperiments(ExperimentIDs(), 1, 1)) // the sequential baseline path
+	got := renderReports(t, RunExperiments(ExperimentIDs(), 1, 8))
+	if got != want {
 		t.Fatal("full parallel report differs from sequential run")
 	}
 }
@@ -106,9 +96,6 @@ func TestRunExperimentsCollectsErrorsAndKeepsRunning(t *testing.T) {
 	last := reports[3]
 	if last.Err != nil || last.Result == nil || !last.Result.Pass {
 		t.Fatalf("F3 after failures: err=%v result=%v", last.Err, last.Result)
-	}
-	if err := JoinErrors(reports); err == nil || !strings.Contains(err.Error(), "ZZ-boom") {
-		t.Fatalf("JoinErrors = %v, want joined failures", err)
 	}
 }
 

@@ -255,18 +255,3 @@ func ExperimentIDs() []string {
 		"D1", "D2", "D3", "D4", "D5",
 	}
 }
-
-// RunAll executes every experiment in order with the same seed. A failing
-// experiment no longer truncates the run: every experiment executes, the
-// successful results come back in report order, and the returned error
-// joins every per-experiment failure.
-func RunAll(seed uint64) ([]*Result, error) {
-	reports := RunAllParallel(seed, 1)
-	var out []*Result
-	for _, rep := range reports {
-		if rep.Err == nil {
-			out = append(out, rep.Result)
-		}
-	}
-	return out, JoinErrors(reports)
-}

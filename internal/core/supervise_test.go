@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/runstats"
 	"repro/internal/sim"
 	"repro/internal/users"
 )
@@ -166,7 +168,7 @@ func TestShutdownCancelsInFlightAndSkipsQueued(t *testing.T) {
 }
 
 // TestSupervisionLeavesOutputBytesUnchanged pins the plane separation:
-// arming the supervisor (probes attached, sweeper polling) must not
+// arming the supervisor (stall probes attached, deadline timer set) must not
 // change a healthy experiment's deterministic bytes.
 func TestSupervisionLeavesOutputBytesUnchanged(t *testing.T) {
 	want := payloadBytes(t, runOne("F3", 1, RunOptions{}))
@@ -297,5 +299,127 @@ func TestSweepSeedsUnderSupervision(t *testing.T) {
 		if !errors.Is(err, sim.ErrStalled) {
 			t.Fatalf("sweep seed error = %v, want a stall abort", err)
 		}
+	}
+}
+
+// slowWorld is the body of the test-only long experiments: a world whose
+// vtime advances happily (so the stall watchdog stays quiet) while every
+// event burns wall clock, far past any supervision window the tests arm.
+// tick runs inside each event.
+func slowWorld(run *Run, tick func()) error {
+	w, err := NewWorld(WorldConfig{Run: run, Seed: run.Seed, MuteTrace: true})
+	if err != nil {
+		return err
+	}
+	for i := 0; i < 20_000; i++ {
+		w.K.Schedule(time.Duration(i+1)*time.Second, "slow", func() {
+			tick()
+			time.Sleep(500 * time.Microsecond)
+		})
+	}
+	if err := w.K.RunFor(30_000 * time.Second); err != nil {
+		return err
+	}
+	return errors.New("slow world ran to completion under supervision that should have reaped it")
+}
+
+// TestSupervisionCountersInManifest pins the profile manifest's
+// supervision section: each kind of abort is counted exactly once, and
+// every abort counts as one cancel.
+func TestSupervisionCountersInManifest(t *testing.T) {
+	counters := func(batch func() []RunReport) runstats.SupervisionStats {
+		t.Helper()
+		c := runstats.Enable()
+		defer runstats.Disable()
+		for _, rep := range batch() {
+			if !rep.Partial {
+				t.Fatalf("%s was not aborted: err=%v", rep.ID, rep.Err)
+			}
+		}
+		return c.Manifest().Supervision
+	}
+
+	stall := counters(func() []RunReport {
+		return []RunReport{runOne("X1", 1, RunOptions{Stall: 60 * time.Millisecond})}
+	})
+	if want := (runstats.SupervisionStats{Stalls: 1, Cancels: 1}); stall != want {
+		t.Fatalf("stall abort counters = %+v, want %+v", stall, want)
+	}
+
+	registerTempExperiment(t, "ZZ-wall", func(run *Run) (*Result, error) {
+		return nil, slowWorld(run, func() {})
+	})
+	deadline := counters(func() []RunReport {
+		return []RunReport{runOne("ZZ-wall", 1, RunOptions{Deadline: 60 * time.Millisecond})}
+	})
+	if want := (runstats.SupervisionStats{DeadlineAborts: 1, Cancels: 1}); deadline != want {
+		t.Fatalf("deadline abort counters = %+v, want %+v", deadline, want)
+	}
+
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	var once sync.Once
+	registerTempExperiment(t, "ZZ-interrupt", func(run *Run) (*Result, error) {
+		return nil, slowWorld(run, func() {
+			once.Do(func() { cancel(errors.New("test interrupt")) })
+		})
+	})
+	shutdown := counters(func() []RunReport {
+		return RunExperimentsOpts(ctx, []string{"ZZ-interrupt"}, 1, RunOptions{})
+	})
+	if want := (runstats.SupervisionStats{Cancels: 1}); shutdown != want {
+		t.Fatalf("shutdown counters = %+v, want %+v", shutdown, want)
+	}
+}
+
+// TestWatchdogBatchLeavesNoGoroutines: once a supervised batch returns —
+// a stall reaped, a deadline armed, a cancellable context — nothing it
+// started is still running.
+func TestWatchdogBatchLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancelCause(context.Background())
+	reports := RunExperimentsOpts(ctx, []string{"X1", "F3"}, 1,
+		RunOptions{Workers: 2, Stall: 60 * time.Millisecond, Deadline: time.Hour})
+	cancel(nil)
+	if !reports[0].Partial || reports[1].Err != nil {
+		t.Fatalf("batch = X1 partial=%v, F3 err=%v; want X1 reaped and F3 passing", reports[0].Partial, reports[1].Err)
+	}
+	limit := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(limit) {
+			t.Fatalf("goroutines = %d after the batch returned, want %d", runtime.NumGoroutine(), before)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestDeadlineBeforeWorldKeepsCause: a deadline that fires before the
+// experiment builds its first world still aborts that world's kernel
+// with ErrDeadline, not a bare cancellation.
+func TestDeadlineBeforeWorldKeepsCause(t *testing.T) {
+	registerTempExperiment(t, "ZZ-late", func(run *Run) (*Result, error) {
+		time.Sleep(100 * time.Millisecond)
+		return nil, slowWorld(run, func() {})
+	})
+	rep := runOne("ZZ-late", 1, RunOptions{Deadline: 30 * time.Millisecond})
+	if !rep.Partial || !errors.Is(rep.Err, sim.ErrDeadline) {
+		t.Fatalf("late world report = partial=%v err=%v, want partial ErrDeadline", rep.Partial, rep.Err)
+	}
+}
+
+// TestShutdownBeforeWorldKeepsCause: a shutdown that lands before the
+// experiment builds its first world aborts that world's kernel with the
+// shutdown's own cause.
+func TestShutdownBeforeWorldKeepsCause(t *testing.T) {
+	interrupt := errors.New("test interrupt")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	registerTempExperiment(t, "ZZ-late", func(run *Run) (*Result, error) {
+		cancel(interrupt)
+		return nil, slowWorld(run, func() {})
+	})
+	rep := RunExperimentsOpts(ctx, []string{"ZZ-late"}, 1, RunOptions{})[0]
+	if !rep.Partial || !errors.Is(rep.Err, interrupt) || !strings.Contains(rep.Err.Error(), "run interrupted") {
+		t.Fatalf("late world report = partial=%v err=%v, want a partial run interrupted by the test", rep.Partial, rep.Err)
 	}
 }

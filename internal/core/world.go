@@ -6,9 +6,10 @@
 //
 // Each experiment returns a Result carrying its pass criterion, named
 // metrics, a one-line measured Summary, and the obs telemetry of every
-// kernel it drove (CaptureObs). RunExperiments / RunAllParallel fan
-// experiments across a worker pool with byte-identical output for any
-// worker count; SweepSeeds aggregates metrics and obs snapshots across a
+// kernel it drove (CaptureObs). RunExperiments fans experiments
+// (ExperimentIDs for the whole registry) across a worker pool with
+// byte-identical output for any worker count, and RunExperimentsOpts
+// runs them under a cancellable context and supervision; SweepSeeds aggregates metrics and obs snapshots across a
 // Monte Carlo seed sweep; RenderExperimentsMarkdown turns a run's
 // reports into EXPERIMENTS.md, making the committed document a build
 // artefact.
