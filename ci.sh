@@ -133,31 +133,12 @@ go run ./cmd/benchjson -o "$tmp_snapshot" -label after \
     -require "$bench_req" -min-bytes-ratio ClaimC7Reduced=2 -require-metric "$bench_metric" < "$tmp_bench"
 rm -f "$tmp_bench" "$tmp_snapshot"
 
-# Telemetry lane (DESIGN.md §12): profile the full 30,000-host C7 run —
-# now the six-site partitioned world (§14), advanced here by four shard
-# workers — with the live progress ticker on, and gate the shape of the
-# wall-clock manifest it emits: plane tag, kernel unit costs, phase
-# timers, the per-experiment wall entry, the partition count, and the
-# per-shard wall breakdown. Values are nondeterministic by design and
-# never compared; only presence is gated.
-tmp_manifest=$(mktemp)
-go run ./cmd/cyberlab profile -run C7 -partitions 4 -progress -o "$tmp_manifest"
-for key in '"plane": "wall-clock"' '"events_fired"' '"ns_per_event"' \
-    '"max_queue_depth"' '"phases"' '"id": "C7"' '"wall_seconds"' \
-    '"supervision"' '"partitions": 6' '"partition_wall"'; do
-    if ! grep -qF "$key" "$tmp_manifest"; then
-        echo "profile manifest is missing $key:" >&2
-        cat "$tmp_manifest" >&2
-        exit 1
-    fi
-done
-rm -f "$tmp_manifest"
-
 tmp_report=$(mktemp)
+tmp_manifest=$(mktemp)
 tmp_trace=$(mktemp)
 tmp_dot=$(mktemp)
 tmp_journal=$(mktemp)
-trap 'rm -f "$tmp_report" "$tmp_trace" "$tmp_dot" "$tmp_journal"' EXIT
+trap 'rm -f "$tmp_report" "$tmp_manifest" "$tmp_trace" "$tmp_dot" "$tmp_journal"' EXIT
 
 # Docs drift gate: EXPERIMENTS.md is a build artefact of `cyberlab -report`.
 # Regenerate from a live run and fail if the committed copy differs. The
@@ -166,12 +147,30 @@ trap 'rm -f "$tmp_report" "$tmp_trace" "$tmp_dot" "$tmp_journal"' EXIT
 # It also runs at -partitions 4 while the committed file was generated at
 # the default width, so one diff gates both report drift AND the §14
 # worker-count invariance of every partitioned experiment's report bytes.
-go run ./cmd/cyberlab -report -progress -partitions 4 -o "$tmp_report" >/dev/null
+# The same run writes the wall-clock manifest, so the diff also proves
+# that collecting it leaves the report bytes unchanged.
+go run ./cmd/cyberlab -report -progress -partitions 4 -o "$tmp_report" -manifest "$tmp_manifest" >/dev/null
 if ! diff -u EXPERIMENTS.md "$tmp_report"; then
     echo "EXPERIMENTS.md drifted from the code; regenerate with:" >&2
     echo "  go run ./cmd/cyberlab -report -o EXPERIMENTS.md" >&2
     exit 1
 fi
+
+# Telemetry gate (DESIGN.md §12): the manifest of that full run — C7 is
+# the six-site partitioned world (§14), advanced by four shard workers —
+# must carry the plane tag, kernel unit costs, phase timers, C7's
+# per-experiment wall entry, the supervision counters, the partition
+# count and the per-shard wall breakdown. Values are nondeterministic by
+# design and never compared; only presence is gated.
+for key in '"plane": "wall-clock"' '"events_fired"' '"ns_per_event"' \
+    '"max_queue_depth"' '"phases"' '"id": "C7"' '"wall_seconds"' \
+    '"supervision"' '"partitions": 6' '"partition_wall"'; do
+    if ! grep -qF "$key" "$tmp_manifest"; then
+        echo "run manifest is missing $key:" >&2
+        cat "$tmp_manifest" >&2
+        exit 1
+    fi
+done
 
 # Provenance drift gate: the trace subcommand must reconstruct the
 # committed Stuxnet infection tree byte-for-byte from a fresh export.

@@ -17,10 +17,9 @@
 //	cyberlab -all -seeds 1..16 [-parallel 8]
 //	cyberlab -report [-o EXPERIMENTS.md]
 //	cyberlab -rules
-//	cyberlab -run C7 -progress
+//	cyberlab -run C7 -progress [-manifest manifest.json]
 //	cyberlab -all -journal run.journal [-stall 30s] [-deadline 10m]
 //	cyberlab -all -journal run.journal -resume
-//	cyberlab profile -run C7 [-progress] [-o manifest.json]
 //	cyberlab trace -in t.jsonl [-cat X] [-actor Y] [-tag k=v] [-chain F1/s3] [-dot out.dot]
 //	cyberlab detect -in t.jsonl [-o alerts.jsonl]
 //
@@ -66,11 +65,16 @@
 // plane is read-only: every drift-gated artefact (report, trace,
 // metrics, alerts) stays byte-identical with or without it.
 //
-// The profile subcommand runs experiments with the telemetry plane
-// enabled and emits a JSON run manifest (wall-clock totals, per-phase
-// and per-experiment breakdowns, kernel hot-loop stats, heap
-// watermarks) to stdout or -o. The manifest is explicitly marked
+// -manifest enables the same telemetry plane and, when the run ends —
+// passed, failed, aborted or cut by a signal, in any run mode — writes
+// a JSON run manifest to the file: wall-clock totals, per-phase and
+// per-experiment breakdowns, kernel hot-loop stats, heap watermarks and
+// supervision counters. The manifest is explicitly marked
 // nondeterministic and is excluded from every drift gate.
+//
+// The run command's output flags (-o, -trace, -metrics, -cpuprofile,
+// -memprofile, -manifest) each name a file; "-" is refused because
+// stdout already carries the report.
 //
 // The trace subcommand reads a `-trace` JSONL export back and
 // reconstructs the causal provenance forest: who infected whom, over
@@ -153,9 +157,6 @@ func run(ctx context.Context, args []string) (err error) {
 	if len(args) > 0 && args[0] == "detect" {
 		return runDetect(args[1:])
 	}
-	if len(args) > 0 && args[0] == "profile" {
-		return runProfile(ctx, args[1:])
-	}
 	fs := flag.NewFlagSet("cyberlab", flag.ContinueOnError)
 	var (
 		list       = fs.Bool("list", false, "list experiment IDs and exit")
@@ -172,6 +173,7 @@ func run(ctx context.Context, args []string) (err error) {
 		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProf    = fs.String("memprofile", "", "write a heap profile to this file when the run finishes")
 		progress   = fs.Bool("progress", false, "print a live wall-clock telemetry ticker to stderr")
+		manifest   = fs.String("manifest", "", "write the wall-clock run manifest (JSON, nondeterministic) to this file when the run ends")
 		journalP   = fs.String("journal", "", "record completed experiments to this crash-safe JSONL file (fsync per record)")
 		resume     = fs.Bool("resume", false, "resume from -journal: serve journaled experiments without re-running them")
 		stall      = fs.Duration("stall", 0, "abort an experiment whose vtime freezes for this wall-clock window (0 = off)")
@@ -182,7 +184,7 @@ func run(ctx context.Context, args []string) (err error) {
 		return err
 	}
 	if fs.NArg() > 0 {
-		return fmt.Errorf("unknown subcommand or argument %q (subcommands: trace, detect, profile)", fs.Arg(0))
+		return fmt.Errorf("unknown subcommand or argument %q (subcommands: trace, detect)", fs.Arg(0))
 	}
 	opts, err := config()
 	if err != nil {
@@ -200,6 +202,9 @@ func run(ctx context.Context, args []string) (err error) {
 	if *genReport && *seeds != "" {
 		return fmt.Errorf("-report renders one seed's EXPERIMENTS.md; it cannot render a -seeds sweep")
 	}
+	if *genReport && *id != "" {
+		return fmt.Errorf("-report renders every experiment into EXPERIMENTS.md; it cannot take a -run list")
+	}
 	if *stall < 0 || *deadline < 0 {
 		return fmt.Errorf("-stall and -deadline must be >= 0")
 	}
@@ -208,8 +213,11 @@ func run(ctx context.Context, args []string) (err error) {
 	// clock, not minutes later at write time.
 	for _, o := range []struct{ flag, path string }{
 		{"-o", *out}, {"-trace", *traceOut}, {"-metrics", *metricsOut},
-		{"-cpuprofile", *cpuProf}, {"-memprofile", *memProf},
+		{"-cpuprofile", *cpuProf}, {"-memprofile", *memProf}, {"-manifest", *manifest},
 	} {
+		if o.path == "-" {
+			return fmt.Errorf("%s -: stdout already carries the report; give a file path", o.flag)
+		}
 		if err := validateOutPath(o.flag, o.path); err != nil {
 			return err
 		}
@@ -234,13 +242,13 @@ func run(ctx context.Context, args []string) (err error) {
 			}
 		}()
 	}
-	if *progress {
-		c := runstats.Enable()
-		stopTicker := c.StartProgress(os.Stderr, runstats.DefaultProgressPeriod)
-		defer func() {
-			stopTicker()
-			runstats.Disable()
-		}()
+	var collector *runstats.Collector
+	if *progress || *manifest != "" {
+		collector = runstats.Enable()
+		defer runstats.Disable()
+		if *progress {
+			defer collector.StartProgress(os.Stderr, runstats.DefaultProgressPeriod)()
+		}
 	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -275,10 +283,17 @@ func run(ctx context.Context, args []string) (err error) {
 		fmt.Fprintf(&report, format, a...)
 		fmt.Printf(format, a...)
 	}
+	// One deferred block writes the run's end-of-run files, so they land
+	// for failed, aborted and signal-cut runs too.
 	defer func() {
 		if *out != "" {
 			if werr := os.WriteFile(*out, []byte(report.String()), 0o644); werr != nil {
 				fmt.Fprintln(os.Stderr, "cyberlab: write report:", werr)
+			}
+		}
+		if *manifest != "" {
+			if werr := writeOutput(*manifest, collector.Manifest().WriteJSON); werr != nil {
+				fmt.Fprintln(os.Stderr, "cyberlab: write manifest:", werr)
 			}
 		}
 	}()
@@ -401,91 +416,6 @@ func ruleKind(r detect.Rule) string {
 	}
 }
 
-// runProfile implements `cyberlab profile`: run experiments with the
-// wall-clock telemetry plane enabled and emit the JSON run manifest.
-// Experiment reports go to stderr (summary lines only) so stdout stays
-// clean for the manifest; -o redirects the manifest to a file and
-// frees stdout. The manifest is nondeterministic by design and is
-// never drift-gated — the deterministic artefacts of the same run are
-// unchanged by profiling (the isolation property tests pin this).
-func runProfile(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("cyberlab profile", flag.ContinueOnError)
-	var (
-		id       = fs.String("run", "", "profile these experiments, comma-separated (e.g. C7 or R1..R5)")
-		all      = fs.Bool("all", false, "profile every experiment")
-		seed     = fs.Uint64("seed", 1, "deterministic simulation seed")
-		parallel = fs.Int("parallel", 1, "worker goroutines")
-		out      = fs.String("o", "", "write the JSON run manifest to this file (default stdout)")
-		progress = fs.Bool("progress", false, "also print the live telemetry ticker to stderr")
-		every    = fs.Duration("every", runstats.DefaultProgressPeriod, "progress ticker period")
-	)
-	config := configFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("profile: unexpected argument %q (flags must all come before it)", fs.Arg(0))
-	}
-	if *id == "" && !*all {
-		return fmt.Errorf("profile: specify -run IDs or -all")
-	}
-	if *parallel < 1 {
-		return fmt.Errorf("profile: -parallel must be >= 1 (got %d)", *parallel)
-	}
-	opts, err := config()
-	if err != nil {
-		return err
-	}
-	opts.Workers = *parallel
-	if err := validateOutPath("-o", *out); err != nil {
-		return err
-	}
-	ids := core.ExperimentIDs()
-	if *id != "" {
-		var err error
-		if ids, err = parseIDs(*id); err != nil {
-			return err
-		}
-	}
-
-	c := runstats.Enable()
-	defer runstats.Disable()
-	var stopTicker func()
-	if *progress {
-		stopTicker = c.StartProgress(os.Stderr, *every)
-	}
-	reports := core.RunExperimentsOpts(ctx, ids, *seed, opts)
-	if stopTicker != nil {
-		stopTicker()
-	}
-	for _, rep := range reports {
-		status := "pass"
-		switch {
-		case rep.Err != nil:
-			status = "error"
-		case !rep.Result.Pass:
-			status = "FAIL"
-		}
-		fmt.Fprintf(os.Stderr, "%-4s %8.3fs  %s\n", rep.ID, rep.Wall.Seconds(), status)
-	}
-
-	manifest := c.Manifest()
-	if *out == "" || *out == "-" {
-		if err := manifest.WriteJSON(os.Stdout); err != nil {
-			return err
-		}
-	} else {
-		var buf bytes.Buffer
-		if err := manifest.WriteJSON(&buf); err != nil {
-			return fmt.Errorf("profile: render manifest: %w", err)
-		}
-		if err := os.WriteFile(*out, buf.Bytes(), 0o644); err != nil {
-			return fmt.Errorf("profile: write manifest: %w", err)
-		}
-	}
-	return reportErr(reports)
-}
-
 // runDetect implements `cyberlab detect`: replay a JSONL trace export
 // through the built-in rule pack and write the alert stream as JSONL.
 func runDetect(args []string) error {
@@ -506,32 +436,16 @@ func runDetect(args []string) error {
 	if err := validateOutPath("-o", *out); err != nil {
 		return err
 	}
-	r := io.Reader(os.Stdin)
-	if *in != "-" {
-		f, err := os.Open(*in)
-		if err != nil {
-			return fmt.Errorf("detect: %w", err)
-		}
-		defer f.Close()
-		r = f
-	}
-	events, err := obs.ParseJSONL(r)
+	events, err := readEvents(*in)
 	if err != nil {
-		return fmt.Errorf("detect: read %s: %w", *in, err)
+		return fmt.Errorf("detect: %w", err)
 	}
 	alerts, err := detect.Replay(events, detect.CNIRulePack())
 	if err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	if err := detect.WriteAlertsJSONL(&buf, alerts); err != nil {
-		return fmt.Errorf("detect: render alerts: %w", err)
-	}
-	if *out == "" || *out == "-" {
-		if _, err := os.Stdout.Write(buf.Bytes()); err != nil {
-			return err
-		}
-	} else if err := os.WriteFile(*out, buf.Bytes(), 0o644); err != nil {
+	err = writeOutput(*out, func(w io.Writer) error { return detect.WriteAlertsJSONL(w, alerts) })
+	if err != nil {
 		return fmt.Errorf("detect: write alerts: %w", err)
 	}
 	fmt.Fprintf(os.Stderr, "%d alerts from %d events\n", len(alerts), len(events))
@@ -752,9 +666,10 @@ func writeMetrics(path string, snap obs.Snapshot) error {
 // directory, or a destination the process lacks permission to write
 // (a read-only directory would otherwise only fail minutes later, when
 // -memprofile or -o performs its deferred write). Every output flag —
-// -o, -trace, -metrics, -cpuprofile, -memprofile, profile -o — goes
-// through here, so a typo fails with the flag's name before any
-// experiment burns wall clock.
+// -o, -trace, -metrics, -cpuprofile, -memprofile, -manifest, trace -dot,
+// detect -o — goes through here, so a typo fails with the flag's name
+// before any experiment burns wall clock. "-" (stdout) passes; the run
+// command refuses it for its own outputs before calling this.
 func validateOutPath(flagName, path string) error {
 	if path == "" || path == "-" {
 		return nil
@@ -791,6 +706,40 @@ func validateOutPath(flagName, path string) error {
 	return nil
 }
 
+// writeOutput renders into a buffer and writes it to path, or to stdout
+// when path is "" or "-". Rendering first keeps a render error from
+// leaving a truncated file behind.
+func writeOutput(path string, render func(io.Writer) error) error {
+	var buf bytes.Buffer
+	if err := render(&buf); err != nil {
+		return err
+	}
+	if path == "" || path == "-" {
+		_, err := os.Stdout.Write(buf.Bytes())
+		return err
+	}
+	return os.WriteFile(path, buf.Bytes(), 0o644)
+}
+
+// readEvents parses a JSONL trace export from path, or from stdin when
+// path is "-".
+func readEvents(path string) ([]obs.Event, error) {
+	r := io.Reader(os.Stdin)
+	if path != "-" {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		r = f
+	}
+	events, err := obs.ParseJSONL(r)
+	if err != nil {
+		return nil, fmt.Errorf("read %s: %w", path, err)
+	}
+	return events, nil
+}
+
 // runTrace implements `cyberlab trace`: read a JSONL export, reconstruct
 // the provenance forest, and render it (text, DOT, or one causal chain).
 func runTrace(args []string) error {
@@ -824,18 +773,9 @@ func runTrace(args []string) error {
 		}
 	}
 
-	r := io.Reader(os.Stdin)
-	if *in != "-" {
-		f, err := os.Open(*in)
-		if err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		defer f.Close()
-		r = f
-	}
-	events, err := obs.ParseJSONL(r)
+	events, err := readEvents(*in)
 	if err != nil {
-		return fmt.Errorf("trace: read %s: %w", *in, err)
+		return fmt.Errorf("trace: %w", err)
 	}
 	kept := events[:0]
 	for _, e := range events {
@@ -875,17 +815,12 @@ func runTrace(args []string) error {
 	}
 
 	if *dotOut != "" {
-		if *dotOut == "-" {
-			return forest.DOT(os.Stdout)
-		}
-		var buf bytes.Buffer
-		if err := forest.DOT(&buf); err != nil {
-			return fmt.Errorf("trace: render dot: %w", err)
-		}
-		if err := os.WriteFile(*dotOut, buf.Bytes(), 0o644); err != nil {
+		if err := writeOutput(*dotOut, forest.DOT); err != nil {
 			return fmt.Errorf("trace: write dot: %w", err)
 		}
-		fmt.Fprint(os.Stderr, provenance.RenderStats(forest.Stats()))
+		if *dotOut != "-" {
+			fmt.Fprint(os.Stderr, provenance.RenderStats(forest.Stats()))
+		}
 		return nil
 	}
 

@@ -102,6 +102,7 @@ func TestBadFlag(t *testing.T) {
 func TestStrayArgumentRefused(t *testing.T) {
 	for stray, args := range map[string][]string{
 		"checkpoint": {"checkpoint", "-run", "C1", "-at", "12h"},
+		"profile":    {"profile", "-run", "C7", "-o", "manifest.json"},
 		"extra":      {"-run", "F3", "extra"},
 	} {
 		if err := run(context.Background(), args); err == nil || !strings.Contains(err.Error(), `"`+stray+`"`) {
@@ -112,13 +113,12 @@ func TestStrayArgumentRefused(t *testing.T) {
 
 // TestSubcommandStrayArgumentRefused: flag parsing stops at the first
 // positional argument, so every flag after a stray one would be dropped
-// silently (profile would print its manifest to stdout instead of -o).
+// silently (detect would print its alerts to stdout instead of -o).
 // Each subcommand refuses the stray argument by name instead, before it
 // runs or writes anything.
 func TestSubcommandStrayArgumentRefused(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "out")
 	for _, args := range [][]string{
-		{"profile", "-run", "F3", "junk", "-o", out},
 		{"trace", "-in", "x.jsonl", "junk", "-dot", out},
 		{"detect", "-in", "x.jsonl", "junk", "-o", out},
 	} {

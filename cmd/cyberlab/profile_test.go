@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,12 +11,10 @@ import (
 	"repro/internal/runstats"
 )
 
-func TestProfileSubcommandManifest(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "manifest.json")
-	if err := run(context.Background(), []string{"profile", "-run", "A3,F3", "-o", out}); err != nil {
-		t.Fatalf("profile: %v", err)
-	}
-	data, err := os.ReadFile(out)
+// readManifest parses the -manifest file a run wrote.
+func readManifest(t *testing.T, path string) runstats.Manifest {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,6 +22,15 @@ func TestProfileSubcommandManifest(t *testing.T) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		t.Fatalf("manifest is not valid JSON: %v", err)
 	}
+	return m
+}
+
+func TestManifestFlag(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "manifest.json")
+	if err := run(context.Background(), []string{"-run", "A3,F3", "-manifest", out}); err != nil {
+		t.Fatalf("-manifest run: %v", err)
+	}
+	m := readManifest(t, out)
 	if m.Plane != "wall-clock" {
 		t.Fatalf("plane = %q, want wall-clock", m.Plane)
 	}
@@ -42,26 +50,57 @@ func TestProfileSubcommandManifest(t *testing.T) {
 	}
 	// The global collector must not leak into subsequent invocations.
 	if runstats.Active() != nil {
-		t.Fatal("profile left the global collector enabled")
+		t.Fatal("-manifest left the global collector enabled")
 	}
 }
 
-func TestProfileRequiresMode(t *testing.T) {
-	if err := run(context.Background(), []string{"profile"}); err == nil {
-		t.Fatal("profile with no -run/-all accepted")
+// TestManifestWrittenOnAbortedRun: the manifest is written from the same
+// deferred block as -o, so a run that exits non-zero still leaves one,
+// carrying the supervision counters of the abort.
+func TestManifestWrittenOnAbortedRun(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "manifest.json")
+	if err := run(context.Background(), []string{"-run", "X1,F3", "-stall", "100ms", "-manifest", out}); err == nil {
+		t.Fatal("run with a stalled experiment exited zero")
+	}
+	m := readManifest(t, out)
+	if m.Supervision.Stalls != 1 || m.Supervision.Cancels != 1 {
+		t.Fatalf("supervision = %+v, want stalls 1, cancels 1", m.Supervision)
 	}
 }
 
-func TestProfileUnknownExperiment(t *testing.T) {
-	if err := run(context.Background(), []string{"profile", "-run", "ZZ"}); err == nil {
-		t.Fatal("profile -run ZZ accepted")
+// TestManifestCountsJournalServed: a resumed run's manifest counts the
+// experiments the journal served instead of running them.
+func TestManifestCountsJournalServed(t *testing.T) {
+	dir := t.TempDir()
+	journal, out := filepath.Join(dir, "run.journal"), filepath.Join(dir, "manifest.json")
+	if err := run(context.Background(), []string{"-run", "F3,C1", "-journal", journal}); err != nil {
+		t.Fatalf("journaled run: %v", err)
+	}
+	if err := run(context.Background(), []string{"-run", "F3,C1,C8", "-journal", journal, "-resume", "-manifest", out}); err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	if got := readManifest(t, out).Supervision.JournalServed; got != 2 {
+		t.Fatalf("journal_served = %d, want 2 (F3, C1)", got)
 	}
 }
 
-func TestProfileBadParallel(t *testing.T) {
-	if err := run(context.Background(), []string{"profile", "-run", "F3", "-parallel", "0"}); err == nil {
-		t.Fatal("profile -parallel 0 accepted")
+// TestReportManifestHasReportPhase: under -report the manifest times the
+// markdown render as its own phase. The run is cut by a shutdown before
+// any experiment starts, as a signal would cut it, so the test also
+// proves the manifest lands for a signal-cut run (and stays cheap).
+func TestReportManifestHasReportPhase(t *testing.T) {
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(errors.New("signal interrupt"))
+	out := filepath.Join(t.TempDir(), "manifest.json")
+	if err := run(ctx, []string{"-report", "-manifest", out}); err == nil {
+		t.Fatal("-report cut before any experiment exited zero")
 	}
+	for _, p := range readManifest(t, out).Phases {
+		if p.Name == "report" {
+			return
+		}
+	}
+	t.Fatal("manifest lists no report phase")
 }
 
 // TestProgressFlagKeepsReportBytes is the CLI face of the isolation
@@ -139,13 +178,5 @@ func TestValidateOutPathRejectsUnwritable(t *testing.T) {
 	}
 	if err := validateOutPath("-cpuprofile", roFile); err == nil {
 		t.Fatal("read-only existing file accepted")
-	}
-}
-
-// TestProfileValidatesOutput: the profile subcommand goes through the
-// same fail-fast output validation as every other output flag.
-func TestProfileValidatesOutput(t *testing.T) {
-	if err := run(context.Background(), []string{"profile", "-run", "F3", "-o", filepath.Join(t.TempDir(), "no", "such", "dir.json")}); err == nil {
-		t.Fatal("profile -o into missing directory accepted")
 	}
 }

@@ -47,6 +47,15 @@ func TestRunJournalFlagValidation(t *testing.T) {
 	if _, err := os.Stat(out); err == nil {
 		t.Fatal("-report -seeds wrote the report file")
 	}
+	// -report always renders every experiment, so a -run list is refused
+	// up front rather than silently ignored.
+	if err := run(context.Background(), []string{"-report", "-run", "F3", "-o", out}); err == nil ||
+		!strings.Contains(err.Error(), "-report") || !strings.Contains(err.Error(), "-run") {
+		t.Fatalf("-report with -run = %v, want a refusal naming both flags", err)
+	}
+	if _, err := os.Stat(out); err == nil {
+		t.Fatal("-report -run wrote the report file")
+	}
 	if err := run(context.Background(), []string{"-run", "F3", "-stall", "-1s"}); err == nil {
 		t.Fatal("negative -stall accepted")
 	}

@@ -162,6 +162,7 @@ func TestOutputPathsValidatedUpFront(t *testing.T) {
 	for _, args := range [][]string{
 		{"-run", "F1", "-trace", filepath.Join(missing, "t.jsonl")},
 		{"-run", "F1", "-metrics", filepath.Join(missing, "m.json")},
+		{"-run", "F1", "-manifest", filepath.Join(missing, "m.json")},
 		{"-report", "-o", filepath.Join(missing, "r.md")},
 	} {
 		err := run(context.Background(), args)
@@ -178,6 +179,18 @@ func TestOutputPathsValidatedUpFront(t *testing.T) {
 	if err := run(context.Background(), []string{"-run", "F1", "-trace", dir}); err == nil ||
 		!strings.Contains(err.Error(), "is a directory") {
 		t.Errorf("directory output path: %v", err)
+	}
+	// "-" is not stdout for the run command's outputs (stdout carries the
+	// report): each is refused by name, before a file named "-" appears.
+	t.Chdir(t.TempDir())
+	for _, flag := range []string{"-o", "-trace", "-metrics", "-cpuprofile", "-memprofile", "-manifest"} {
+		if err := run(context.Background(), []string{"-run", "F3", flag, "-"}); err == nil ||
+			!strings.HasPrefix(err.Error(), flag+" -:") {
+			t.Errorf("%s -: %v, want a refusal naming the flag", flag, err)
+		}
+		if _, err := os.Stat("-"); err == nil {
+			t.Fatalf("%s - created a file named \"-\"", flag)
+		}
 	}
 	// trace -dot goes through the same gate.
 	if err := run(context.Background(), []string{"trace", "-in", "whatever.jsonl", "-dot", filepath.Join(missing, "g.dot")}); err == nil ||

@@ -66,25 +66,32 @@ func (r *Result) block(s string) {
 // uniqueness (kernels allocate 1,2,3,… independently).
 func (r *Result) CaptureObs(ks ...*sim.Kernel) {
 	for _, k := range ks {
-		// Flush the wall-clock telemetry tail (no-op without a probe);
-		// this reads kernel state but writes nothing deterministic.
-		k.FlushProbe()
-		r.Obs.Merge(k.Metrics().Snapshot())
-		events := k.Trace().Events()
-		if base := obs.Span(r.spanBase); base != 0 {
-			for i := range events {
-				if events[i].Span != 0 {
-					events[i].Span += base
-				}
-				if events[i].Parent != 0 {
-					events[i].Parent += base
-				}
+		r.Events = append(r.Events, r.capture(k)...)
+	}
+}
+
+// capture folds one kernel into the result and returns its retained
+// trace records, span IDs shifted past the kernels captured before it
+// and tagged exp=<ID>.
+func (r *Result) capture(k *sim.Kernel) []obs.Event {
+	// Flush the wall-clock telemetry tail (no-op without a probe); this
+	// reads kernel state but writes nothing deterministic.
+	k.FlushProbe()
+	r.Obs.Merge(k.Metrics().Snapshot())
+	events := k.Trace().Events()
+	if base := obs.Span(r.spanBase); base != 0 {
+		for i := range events {
+			if events[i].Span != 0 {
+				events[i].Span += base
+			}
+			if events[i].Parent != 0 {
+				events[i].Parent += base
 			}
 		}
-		r.spanBase += k.SpanCount()
-		obs.TagAll(events, obs.T("exp", r.ID))
-		r.Events = append(r.Events, events...)
 	}
+	r.spanBase += k.SpanCount()
+	obs.TagAll(events, obs.T("exp", r.ID))
+	return events
 }
 
 // CaptureObsMerged is CaptureObs for partitioned worlds (DESIGN.md
@@ -99,23 +106,8 @@ func (r *Result) CaptureObsMerged(ks ...*sim.Kernel) {
 	streams := make([][]obs.Event, len(ks))
 	total := 0
 	for i, k := range ks {
-		k.FlushProbe()
-		r.Obs.Merge(k.Metrics().Snapshot())
-		events := k.Trace().Events()
-		if base := obs.Span(r.spanBase); base != 0 {
-			for j := range events {
-				if events[j].Span != 0 {
-					events[j].Span += base
-				}
-				if events[j].Parent != 0 {
-					events[j].Parent += base
-				}
-			}
-		}
-		r.spanBase += k.SpanCount()
-		obs.TagAll(events, obs.T("exp", r.ID))
-		streams[i] = events
-		total += len(events)
+		streams[i] = r.capture(k)
+		total += len(streams[i])
 	}
 	merged := make([]obs.Event, 0, total)
 	idx := make([]int, len(streams))

@@ -12,7 +12,7 @@
 // — varies run to run by construction. Runstats data therefore flows in
 // exactly one direction: out of kernels (via read-only sim.Probe
 // samples) into the Collector, and from there to stderr (the -progress
-// ticker) or the `cyberlab profile` JSON manifest. Nothing here may
+// ticker) or the `cyberlab -manifest` JSON file. Nothing here may
 // ever be written into an obs registry, a kernel trace, or any
 // drift-gated artefact, and enabling a collector must leave every
 // deterministic byte stream unchanged (asserted by
