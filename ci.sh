@@ -49,6 +49,13 @@ go test -timeout 300s -run '^$' -fuzz FuzzParseJSONL -fuzztime 10s -fuzzminimize
 # re-marshal to the same bytes, and its digest hashed from those bytes
 # must equal the marshal-based Digest (DESIGN.md §9).
 go test -timeout 300s -run '^$' -fuzz FuzzParsePE -fuzztime 10s -fuzzminimizetime 2s ./internal/pe
+# Mutated sealed blobs must open to the same plaintext, or fail with the
+# same error, whether the key pair's secret memo holds their ephemeral
+# key or not (DESIGN.md §9).
+go test -timeout 300s -run '^$' -fuzz FuzzOpen -fuzztime 10s -fuzzminimizetime 2s ./internal/cnc
+# Mutated MBR sectors must never panic the parser, and any sector it
+# accepts must parse to the same MBR after a re-marshal.
+go test -timeout 300s -run '^$' -fuzz FuzzParseMBR -fuzztime 10s -fuzzminimizetime 2s ./internal/host
 
 # Detect lane: the streaming engine subscribes to the live trace from
 # inside experiment worlds, so it and the CNI campaign run under -race

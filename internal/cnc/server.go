@@ -2,7 +2,6 @@ package cnc
 
 import (
 	"bytes"
-	"crypto/ecdh"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -91,7 +90,7 @@ type Server struct {
 	DB *Database
 	// SealPub is the coordinator public key clients and the server use to
 	// seal stolen data.
-	SealPub *ecdh.PublicKey
+	SealPub *SealKey
 
 	ads     map[string][]*Package
 	news    []*Package
@@ -112,7 +111,7 @@ type Server struct {
 }
 
 // NewServer creates a C&C server bound at ip on the internet.
-func NewServer(k *sim.Kernel, in *netsim.Internet, ip netsim.IP, sealPub *ecdh.PublicKey) *Server {
+func NewServer(k *sim.Kernel, in *netsim.Internet, ip netsim.IP, sealPub *SealKey) *Server {
 	s := &Server{
 		K:       k,
 		IP:      ip,

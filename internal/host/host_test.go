@@ -412,6 +412,31 @@ func TestParseMBRRejectsWiped(t *testing.T) {
 	}
 }
 
+// FuzzParseMBR mutates a freshly installed MBR sector and the zeroed
+// sector Shamoon's wiper leaves behind. ParseMBR must never panic, and
+// any sector it accepts must parse to the same MBR after a Marshal.
+func FuzzParseMBR(f *testing.F) {
+	installed, err := NewDisk(1 << 20).ReadSector(0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(installed)
+	f.Add(make([]byte, SectorSize))
+	f.Fuzz(func(t *testing.T, sector []byte) {
+		m, err := ParseMBR(sector)
+		if err != nil {
+			return
+		}
+		again, err := ParseMBR(m.Marshal())
+		if err != nil {
+			t.Fatalf("ParseMBR(Marshal(m)): %v", err)
+		}
+		if *again != *m {
+			t.Fatalf("round trip changed the MBR: %+v, want %+v", again.Partitions, m.Partitions)
+		}
+	})
+}
+
 func TestDiskSectorIO(t *testing.T) {
 	d := NewDisk(100)
 	if err := d.WriteSector(5, []byte("hello")); err != nil {
